@@ -17,7 +17,6 @@ from .grading import (
     MultiplierTable,
     SignBicharacter,
     delta_from_multiplier,
-    group_add,
     twist_epsilon,
     validate_bicharacter,
     validate_bicharacter_table,
@@ -28,7 +27,6 @@ from .core import (
     EvenLinearMap,
     GradedAlgebra,
     GradedBasis,
-    apply_product,
     check_epsilon_commutative,
     check_hom_associative,
     check_hom_leibniz,

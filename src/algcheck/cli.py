@@ -78,14 +78,9 @@ def _validation_reports(doc, commutative=False):
     return reports
 
 
-def cmd_validate(args, full=False):
+def cmd_validate(args):
     doc = _load(args.path)
-    return _emit(_validation_reports(doc, commutative=args.commutative), args.json, full=full)
-
-
-def cmd_report(args):
-    doc = _load(args.path)
-    return _emit(_validation_reports(doc, commutative=args.commutative), args.json, full=True)
+    return _emit(_validation_reports(doc, commutative=args.commutative), args.json, full=args.full)
 
 
 def cmd_check_operator(args):
@@ -104,71 +99,77 @@ def _summary(reports):
     )
 
 
-def _named_operator(doc, name):
-    if name is None:
+def _operator(doc, args):
+    if args.operator is None:
         raise DocumentError("usage", "this construction needs --operator")
-    if name == "Id":
+    if args.operator == "Id":
         return EvenLinearMap.identity(doc.algebra.basis)
-    if name not in doc.operators:
-        raise DocumentError("unknown-operator", f"no operator named {name!r}")
-    return doc.operators[name]
+    if args.operator not in doc.operators:
+        raise DocumentError("unknown-operator", f"no operator named {args.operator!r}")
+    return doc.operators[args.operator]
 
 
-def _named_multiplier(doc, name):
-    if name is None:
+def _multiplier(doc, args):
+    if args.multiplier is None:
         raise DocumentError("usage", "this construction needs --multiplier")
-    if name not in doc.multipliers:
-        raise DocumentError("unknown-multiplier", f"no multiplier named {name!r}")
-    return doc.multipliers[name]
+    if args.multiplier not in doc.multipliers:
+        raise DocumentError("unknown-multiplier", f"no multiplier named {args.multiplier!r}")
+    return doc.multipliers[args.multiplier]
+
+
+def _endomorphisms(doc, args):
+    """alpha and every named operator that is an endomorphism of the input."""
+    alg = doc.algebra
+    candidates = [alg.alpha] + [doc.operators[k] for k in sorted(doc.operators)]
+    return [f for f in candidates if all_ok(check_morphism(f, alg, alg))]
+
+
+def _xi(doc, args):
+    if args.xi is None:
+        raise DocumentError("usage", "xi construction needs --xi c0,c1,...")
+    return tuple(parse_rational(c.strip(), "--xi") for c in args.xi.split(","))
+
+
+def _weight(doc, args):
+    if args.weight is None:
+        raise DocumentError("usage", "rota-baxter construction needs --weight")
+    return parse_rational(args.weight, "--weight")
+
+
+def _power(doc, args):
+    return args.power
+
+
+def _second(doc, args):
+    if args.second is None:
+        raise DocumentError("usage", "tensor construction needs --second FILE")
+    return _load(args.second).algebra
+
+
+# construction name -> (function in algcheck.constructions, readers of the
+# arguments after the input algebra).  The function is looked up by name at
+# call time, so a wrapper installed on the module is the one that runs.
+CONSTRUCTIONS = {
+    "xi": ("xi_twist", (_xi,)),
+    "multiplier-sym": ("multiplier_twist_symmetric", (_multiplier,)),
+    "multiplier-delta": ("multiplier_twist_delta", (_multiplier, _endomorphisms)),
+    "transport": ("transport_along_bijection", (_operator,)),
+    "centroid": ("centroid_twist", (_operator,)),
+    "averaging-pair": ("averaging_twist_pairwise", (_operator,)),
+    "averaging-untwisted": ("averaging_twist_untwisted", (_operator,)),
+    "averaging-power": ("averaging_twist_power", (_operator, _power)),
+    "nijenhuis": ("nijenhuis_twist", (_operator,)),
+    "rota-baxter": ("rota_baxter_twist", (_operator, _weight)),
+    "tensor": ("tensor_with_commutative", (_second,)),
+}
 
 
 def _run_construction(doc, args):
-    alg = doc.algebra
-    name = args.construction
-    if name == "xi":
-        if args.xi is None:
-            raise DocumentError("usage", "xi construction needs --xi c0,c1,...")
-        xi = tuple(parse_rational(c.strip(), "--xi") for c in args.xi.split(","))
-        return constructions.xi_twist(alg, xi)
-    if name == "multiplier-sym":
-        return constructions.multiplier_twist_symmetric(alg, _named_multiplier(doc, args.multiplier))
-    if name == "multiplier-delta":
-        endos = []
-        for cand in [alg.alpha] + [doc.operators[k] for k in sorted(doc.operators)]:
-            try:
-                if all_ok(check_morphism(cand, alg, alg)):
-                    endos.append(cand)
-            except AlgcheckError:
-                continue
-        return constructions.multiplier_twist_delta(
-            alg, _named_multiplier(doc, args.multiplier), endomorphisms=endos
-        )
-    if name == "transport":
-        return constructions.transport_along_bijection(alg, _named_operator(doc, args.operator))
-    if name == "centroid":
-        return constructions.centroid_twist(alg, _named_operator(doc, args.operator))
-    if name == "averaging-pair":
-        return constructions.averaging_twist_pairwise(alg, _named_operator(doc, args.operator))
-    if name == "averaging-untwisted":
-        return constructions.averaging_twist_untwisted(alg, _named_operator(doc, args.operator))
-    if name == "averaging-power":
-        return constructions.averaging_twist_power(
-            alg, _named_operator(doc, args.operator), args.power
-        )
-    if name == "nijenhuis":
-        return constructions.nijenhuis_twist(alg, _named_operator(doc, args.operator))
-    if name == "rota-baxter":
-        if args.weight is None:
-            raise DocumentError("usage", "rota-baxter construction needs --weight")
-        return constructions.rota_baxter_twist(
-            alg, _named_operator(doc, args.operator), parse_rational(args.weight, "--weight")
-        )
-    if name == "tensor":
-        if args.second is None:
-            raise DocumentError("usage", "tensor construction needs --second FILE")
-        other = _load(args.second)
-        return constructions.tensor_with_commutative(alg, other.algebra)
-    raise DocumentError("unknown-construction", f"no construction named {name!r}")
+    if args.construction not in CONSTRUCTIONS:
+        raise DocumentError("unknown-construction", f"no construction named {args.construction!r}")
+    name, readers = CONSTRUCTIONS[args.construction]
+    values = [read(doc, args) for read in readers]
+    return getattr(constructions, name)(doc.algebra, *values)
 
 
 def _write_result(doc, args, result):
@@ -194,23 +195,11 @@ def _write_result(doc, args, result):
 
 def cmd_twist(args):
     doc = _load(args.path)
-    try:
-        result = _run_construction(doc, args)
-    except HypothesisError as exc:
-        print(f"GATE FAILED: {exc}")
-        for line in render_reports(exc.reports):
-            print(line)
-        return EXIT_AXIOM
+    result = _run_construction(doc, args)
     _write_result(doc, args, result)
     for line in render_reports(result.reports):
         print(line)
     return EXIT_OK if result.ok else EXIT_AXIOM
-
-
-def cmd_tensor(args):
-    args.construction = "tensor"
-    args.path, args.second = args.first, args.second
-    return cmd_twist(args)
 
 
 def build_parser():
@@ -220,18 +209,14 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="run all applicable axiom checks on a file")
-    p.add_argument("path")
-    p.add_argument("--commutative", action="store_true",
-                   help="also require epsilon-commutativity of the product")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("report", help="validate and dump every residual")
-    p.add_argument("path")
-    p.add_argument("--commutative", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_report)
+    for name, text, full in (("validate", "run all applicable axiom checks on a file", False),
+                             ("report", "validate and dump every residual", True)):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("path")
+        p.add_argument("--commutative", action="store_true",
+                       help="also require epsilon-commutativity of the product")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=cmd_validate, full=full)
 
     p = sub.add_parser("check-operator", help="classify a named operator")
     p.add_argument("path")
@@ -245,7 +230,8 @@ def build_parser():
 
     p = sub.add_parser("twist", help="apply a construction theorem and re-certify")
     p.add_argument("path")
-    p.add_argument("--construction", required=True)
+    p.add_argument("--construction", required=True,
+                   help="one of: " + ", ".join(CONSTRUCTIONS))
     p.add_argument("--operator")
     p.add_argument("--multiplier")
     p.add_argument("--weight")
@@ -257,11 +243,11 @@ def build_parser():
     p.set_defaults(fn=cmd_twist)
 
     p = sub.add_parser("tensor", help="tensor a commutative algebra file with a Poisson file")
-    p.add_argument("first")
+    p.add_argument("path", metavar="first")
     p.add_argument("second")
     p.add_argument("-o", "--output")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_tensor)
+    p.set_defaults(fn=cmd_twist, construction="tensor")
 
     return parser
 
@@ -269,14 +255,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "tensor":
-        args.operator = args.multiplier = args.weight = args.xi = None
-        args.power = 0
     try:
         return args.fn(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except HypothesisError as exc:
         print(f"GATE FAILED: {exc}")
         for line in render_reports(exc.reports):

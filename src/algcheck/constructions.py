@@ -6,9 +6,9 @@ the output exhaustively.  Outputs always carry their certification
 reports; a construction never silently emits an unchecked algebra.
 """
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .core import (
     BilinearProduct,
@@ -20,15 +20,11 @@ from .core import (
     check_hom_poisson,
     check_morphism,
     components,
-    vec_add,
-    vec_scale,
-    vec_sub,
-    zero_vec,
 )
 from .errors import HypothesisError, IncompatibilityError, ShapeError
-from .grading import twist_epsilon, validate_multiplier
+from .grading import delta_from_multiplier, twist_epsilon, validate_multiplier
 from .operators import OperatorClaim, check_operator
-from .report import AxiomReport, all_ok
+from .report import all_ok
 
 
 @dataclass
@@ -61,23 +57,55 @@ def _gate(reports, message):
         raise HypothesisError(message, bad)
 
 
-def _entries_from_pairs(basis, pair_fn):
-    n = basis.dim
-    entries = []
-    for i, j in itertools.product(range(n), repeat=2):
-        vec = pair_fn(i, j)
-        entries.extend((i, j, k, c) for k, c in enumerate(vec) if c != 0)
-    return BilinearProduct(basis, tuple(entries))
+def _pulled(p, left=None, right=None, post=None, scale=1):
+    """Structure constants of (x, y) -> scale * post(p(left x, right y)),
+    read off the nonzero constants of p; None stands for the identity map.
+    The entries may repeat an (i, j, k) key: BilinearProduct sums them, so
+    concatenating two entry lists adds the two products."""
+    def support(rows):
+        # row a of a map as [(i, m[a][i])], nonzero entries only
+        return [[(i, c) for i, c in enumerate(row) if c] for row in rows]
+
+    ident = EvenLinearMap.identity(p.basis)
+    lft = support((ident if left is None else left).matrix)
+    rgt = support((ident if right is None else right).matrix)
+    pst = support(zip(*(ident if post is None else post).matrix))  # columns
+    return [
+        (i, j, l, scale * x * y * c * z)
+        for (a, b, k, c) in p.entries
+        for i, x in lft[a]
+        for j, y in rgt[b]
+        for l, z in pst[k]
+    ]
 
 
-def _scale_by_degrees(p, factor_fn):
-    if p is None:
-        return None
+def _rebuilt(P, entries, names=("mu", "bracket"), **replace):
+    """P with each named product p it carries rebuilt from entries(p)."""
+    for name in names:
+        p = getattr(P, name)
+        if p is not None:
+            replace[name] = BilinearProduct(P.basis, tuple(entries(p)))
+    return P.replace(**replace)
+
+
+def _rescaled(p, s):
     degs = p.basis.degrees
-    return BilinearProduct(
-        p.basis,
-        tuple((i, j, k, factor_fn(degs[i], degs[j]) * c) for (i, j, k, c) in p.entries),
-    )
+    return [(i, j, k, s.value(degs[i], degs[j]) * c) for (i, j, k, c) in p.entries]
+
+
+def _operator_twist(P, b, kind, message, build, clause="morphism",
+                    poisson="input is not a Hom-Poisson color algebra", **claim):
+    """The operator twists' shared sequence: gate the input, gate b as a
+    `kind` operator (`claim` holds the OperatorClaim keywords), build the
+    output, certify it, and check b as a map from the output onto P,
+    recorded under `clause` ("morphism", "findings", or None: no check)."""
+    _gate(check_hom_poisson(P), poisson)
+    _gate(check_operator(P, OperatorClaim(b, kind, **claim)), message)
+    out = build()
+    result = ConstructionResult(out, certification=check_hom_poisson(out))
+    if clause:
+        setattr(result, clause, check_morphism(b, out, P))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -92,19 +120,16 @@ def xi_twist(A, xi):
     parts = components(A.basis, xi)
     if any(d != A.group.zero for d in parts):
         raise HypothesisError("xi must be homogeneous of degree 0", [])
-    plain = A.replace(alpha=EvenLinearMap.identity(A.basis), bracket=None)
+    ident = EvenLinearMap.identity(A.basis)
+    plain = A.replace(alpha=ident, bracket=None)
     _gate([check_hom_associative(plain)], "product is not plainly associative")
     _gate([check_hom_associative(A.replace(bracket=None))], "product is not Hom-associative")
-    new_mu = _entries_from_pairs(
-        A.basis,
-        lambda i, j: A.mu.apply(A.mu.apply(_basis(A, i), xi), _basis(A, j)),
-    )
-    out = A.replace(mu=new_mu)
+    # x *_xi y = (x xi) y: pull mu back along the right multiplication
+    # x -> x xi, whose column i is e_i xi
+    columns = [A.mu.apply(e, xi) for e in ident.matrix]
+    by_xi = EvenLinearMap(A.basis, tuple(zip(*columns)))
+    out = A.replace(mu=BilinearProduct(A.basis, tuple(_pulled(A.mu, left=by_xi))))
     return ConstructionResult(out, certification=[check_hom_associative(out.replace(bracket=None))])
-
-
-def _basis(A, i):
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(A.dim))
 
 
 def multiplier_twist_symmetric(P, s):
@@ -112,10 +137,7 @@ def multiplier_twist_symmetric(P, s):
     multiplier; same commutation factor, same alpha."""
     _gate(validate_multiplier(s, symmetric=True), "multiplier fails the symmetric-twist gate")
     _gate(check_hom_poisson(P), "input is not a Hom-Poisson color algebra")
-    out = P.replace(
-        mu=_scale_by_degrees(P.mu, s.value),
-        bracket=_scale_by_degrees(P.bracket, s.value),
-    )
+    out = _rebuilt(P, partial(_rescaled, s=s))
     return ConstructionResult(out, certification=check_hom_poisson(out))
 
 
@@ -126,19 +148,13 @@ def multiplier_twist_delta(P, s, endomorphisms=()):
     re-verified as an endomorphism of the twist."""
     _gate(validate_multiplier(s), "multiplier fails the cocycle gate")
     _gate(check_hom_poisson(P), "input is not a Hom-Poisson color algebra")
-    from .grading import delta_from_multiplier
-
     delta = delta_from_multiplier(s)
     els = P.group.elements()
     if all(delta.value(a, b) == 1 for a in els for b in els):
         factor = P.epsilon  # sigma symmetric: keep the original representation
     else:
         factor = twist_epsilon(P.epsilon, delta)
-    out = P.replace(
-        epsilon=factor,
-        mu=_scale_by_degrees(P.mu, s.value),
-        bracket=_scale_by_degrees(P.bracket, s.value),
-    )
+    out = _rebuilt(P, partial(_rescaled, s=s), epsilon=factor)
     morphism = []
     for f in endomorphisms:
         _gate(check_morphism(f, P, P), "map is not an endomorphism of the input")
@@ -151,18 +167,8 @@ def transport_along_bijection(Pp, f):
     x . y = f^-1(f(x) .' f(y)), likewise for the bracket, and
     alpha = f^-1 alpha' f.  f becomes a morphism onto Pp."""
     finv = f.inverse()
-    new_alpha = finv.compose(Pp.alpha).compose(f)
-    new_mu = None
-    if Pp.mu is not None:
-        new_mu = _entries_from_pairs(
-            Pp.basis, lambda i, j: finv.apply(Pp.mu.apply(f.column(i), f.column(j)))
-        )
-    new_bracket = None
-    if Pp.bracket is not None:
-        new_bracket = _entries_from_pairs(
-            Pp.basis, lambda i, j: finv.apply(Pp.bracket.apply(f.column(i), f.column(j)))
-        )
-    out = Pp.replace(mu=new_mu, bracket=new_bracket, alpha=new_alpha)
+    out = _rebuilt(Pp, partial(_pulled, left=f, right=f, post=finv),
+                   alpha=finv.compose(Pp.alpha).compose(f))
     return ConstructionResult(
         out,
         certification=check_hom_poisson(out),
@@ -175,31 +181,21 @@ def centroid_twist(P, b):
     centroid element beta (k = 0).  The source theorem's proof is absent,
     so the re-certification verdict and the morphism claim are recorded
     as findings rather than assumed."""
-    _gate(check_hom_poisson(P), "input is not a Hom-Poisson color algebra")
-    _gate(check_operator(P, OperatorClaim(b, "centroid", power=0)),
-          "map is not a centroid element")
-    new_bracket = _entries_from_pairs(
-        P.basis, lambda i, j: P.bracket.apply(b.column(i), _basis(P, j))
-    )
-    out = P.replace(bracket=new_bracket)
-    return ConstructionResult(
-        out,
-        certification=check_hom_poisson(out),
-        findings=check_morphism(b, out, P),
+    return _operator_twist(
+        P, b, "centroid", "map is not a centroid element",
+        lambda: _rebuilt(P, partial(_pulled, left=b), names=("bracket",)),
+        clause="findings", power=0,
     )
 
 
 def averaging_twist_pairwise(P, b):
     """x * y = beta(x) . beta(y), {x, y} = [beta(x), beta(y)] for an
     averaging operator beta (k = 0); same alpha."""
-    _gate(check_hom_poisson(P), "input is not a Hom-Poisson color algebra")
-    _gate(check_operator(P, OperatorClaim(b, "averaging", power=0)),
-          "map is not an averaging operator")
-    out = P.replace(
-        mu=_entries_from_pairs(P.basis, lambda i, j: P.mu.apply(b.column(i), b.column(j))),
-        bracket=_entries_from_pairs(P.basis, lambda i, j: P.bracket.apply(b.column(i), b.column(j))),
+    return _operator_twist(
+        P, b, "averaging", "map is not an averaging operator",
+        lambda: _rebuilt(P, partial(_pulled, left=b, right=b)),
+        clause=None, power=0,
     )
-    return ConstructionResult(out, certification=check_hom_poisson(out))
 
 
 def averaging_twist_untwisted(P, b):
@@ -212,15 +208,11 @@ def averaging_twist_untwisted(P, b):
     verdict is the evidence rather than an assumed property."""
     if not P.alpha.is_identity:
         raise HypothesisError("this construction starts from an untwisted algebra (alpha = id)", [])
-    _gate(check_hom_poisson(P), "input is not a Poisson color algebra")
-    _gate(check_operator(P, OperatorClaim(b, "averaging", power=0)),
-          "map is not an averaging operator")
-    out = P.replace(
-        mu=_entries_from_pairs(P.basis, lambda i, j: P.mu.apply(b.column(i), _basis(P, j))),
-        bracket=_entries_from_pairs(P.basis, lambda i, j: P.bracket.apply(b.column(i), _basis(P, j))),
-        alpha=b,
+    return _operator_twist(
+        P, b, "averaging", "map is not an averaging operator",
+        lambda: _rebuilt(P, partial(_pulled, left=b), alpha=b),
+        clause=None, poisson="input is not a Poisson color algebra", power=0,
     )
-    return ConstructionResult(out, certification=check_hom_poisson(out))
 
 
 def averaging_twist_power(P, b, k):
@@ -228,18 +220,10 @@ def averaging_twist_power(P, b, k):
     bijective alpha^k-averaging operator beta; same alpha.  beta is a
     morphism from the twist onto the input."""
     b.inverse()  # raises SingularMapError when not bijective
-    _gate(check_hom_poisson(P), "input is not a Hom-Poisson color algebra")
-    _gate(check_operator(P, OperatorClaim(b, "averaging", power=k)),
-          f"map is not an alpha^{k}-averaging operator")
-    ak = P.alpha.power(k)
-    out = P.replace(
-        mu=_entries_from_pairs(P.basis, lambda i, j: P.mu.apply(b.column(i), ak.column(j))),
-        bracket=_entries_from_pairs(P.basis, lambda i, j: P.bracket.apply(b.column(i), ak.column(j))),
-    )
-    return ConstructionResult(
-        out,
-        certification=check_hom_poisson(out),
-        morphism=check_morphism(b, out, P),
+    return _operator_twist(
+        P, b, "averaging", f"map is not an alpha^{k}-averaging operator",
+        lambda: _rebuilt(P, partial(_pulled, left=b, right=P.alpha.power(k))),
+        power=k,
     )
 
 
@@ -247,24 +231,11 @@ def nijenhuis_twist(P, N):
     """Deformed products x .N y = N(x).y + x.N(y) - N(x.y), and the same
     shape for the bracket; same alpha and commutation factor.  N is a
     morphism from the twist onto the input."""
-    _gate(check_hom_poisson(P), "input is not a Hom-Poisson color algebra")
-    _gate(check_operator(P, OperatorClaim(N, "nijenhuis")), "map is not a Nijenhuis operator")
-
     def deform(p):
-        return _entries_from_pairs(
-            P.basis,
-            lambda i, j: vec_sub(
-                vec_add(p.apply(N.column(i), _basis(P, j)), p.apply(_basis(P, i), N.column(j))),
-                N.apply(p.of_pair(i, j)),
-            ),
-        )
+        return _pulled(p, left=N) + _pulled(p, right=N) + _pulled(p, post=N, scale=-1)
 
-    out = P.replace(mu=deform(P.mu), bracket=deform(P.bracket))
-    return ConstructionResult(
-        out,
-        certification=check_hom_poisson(out),
-        morphism=check_morphism(N, out, P),
-    )
+    return _operator_twist(P, N, "nijenhuis", "map is not a Nijenhuis operator",
+                           lambda: _rebuilt(P, deform))
 
 
 def rota_baxter_twist(P, R, weight):
@@ -272,26 +243,12 @@ def rota_baxter_twist(P, R, weight):
     for a Rota-Baxter operator R of that weight; same alpha.  R is a
     morphism from the twist onto the input."""
     weight = Fraction(weight)
-    _gate(check_hom_poisson(P), "input is not a Hom-Poisson color algebra")
-    _gate(check_operator(P, OperatorClaim(R, "rota-baxter", weight=weight)),
-          "map is not a Rota-Baxter operator of this weight")
 
     def deform(p):
-        return _entries_from_pairs(
-            P.basis,
-            lambda i, j: vec_add(
-                p.apply(R.column(i), _basis(P, j)),
-                p.apply(_basis(P, i), R.column(j)),
-                vec_scale(weight, p.of_pair(i, j)),
-            ),
-        )
+        return _pulled(p, left=R) + _pulled(p, right=R) + _pulled(p, scale=weight)
 
-    out = P.replace(mu=deform(P.mu), bracket=deform(P.bracket))
-    return ConstructionResult(
-        out,
-        certification=check_hom_poisson(out),
-        morphism=check_morphism(R, out, P),
-    )
+    return _operator_twist(P, R, "rota-baxter", "map is not a Rota-Baxter operator of this weight",
+                           lambda: _rebuilt(P, deform), weight=weight)
 
 
 def tensor_with_commutative(A, P):

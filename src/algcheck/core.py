@@ -10,6 +10,7 @@ identity on the whole algebra by multilinearity.
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .errors import (
     EvennessError,
@@ -97,14 +98,11 @@ class EvenLinearMap:
 
     @classmethod
     def identity(cls, basis):
-        n = basis.dim
-        return cls(basis, tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
+        return cls.scalar(basis, ONE)
 
     @classmethod
     def scalar(cls, basis, c):
-        c = Fraction(c)
-        n = basis.dim
-        return cls(basis, tuple(tuple(c if i == j else ZERO for j in range(n)) for i in range(n)))
+        return cls.diagonal(basis, [c] * basis.dim)
 
     @classmethod
     def diagonal(cls, basis, entries):
@@ -144,7 +142,11 @@ class EvenLinearMap:
 
     @property
     def is_identity(self):
-        return self == EvenLinearMap.identity(self.basis)
+        return all(
+            c == (ONE if i == j else ZERO)
+            for i, row in enumerate(self.matrix)
+            for j, c in enumerate(row)
+        )
 
     def inverse(self):
         """Exact Gauss-Jordan inverse; raises SingularMapError if singular."""
@@ -227,10 +229,6 @@ class BilinearProduct:
             for k, c in terms:
                 out[k] += f * c
         return tuple(out)
-
-
-def apply_product(p, x, y):
-    return p.apply(x, y)
 
 
 @dataclass(frozen=True)
@@ -325,55 +323,45 @@ def _leibniz_residual(A, i, j, k):
 # ---------------------------------------------------------------------------
 # checkers
 
+def _sweep(label, n, arity, residual):
+    """One report for `label` over every basis tuple of the given arity;
+    `residual(*indices)` returns the (lhs, rhs) pair that must agree."""
+    rep = AxiomReport(label)
+    for idx in itertools.product(range(n), repeat=arity):
+        lhs, rhs = residual(*idx)
+        if lhs != rhs:
+            rep.record(idx, lhs, rhs)
+    return rep.finish()
+
+
+def _intertwines(label, f, src_alpha, dst_alpha):
+    """f . src_alpha == dst_alpha . f, column by column."""
+    return _sweep(label, f.basis.dim, 1,
+                  lambda j: (f.apply(src_alpha.column(j)), dst_alpha.apply(f.column(j))))
+
+
 def check_hom_associative(A):
     _require(A, "mu", "alpha")
-    rep = AxiomReport("hom-associativity")
-    n = A.dim
-    for i, j, k in itertools.product(range(n), repeat=3):
-        lhs, rhs = _assoc_residual(A, i, j, k)
-        if lhs != rhs:
-            rep.record((i, j, k), lhs, rhs)
-    return rep.finish()
+    return _sweep("hom-associativity", A.dim, 3, partial(_assoc_residual, A))
 
 
 def check_epsilon_commutative(A):
     _require(A, "mu")
-    rep = AxiomReport("epsilon-commutativity")
-    n = A.dim
-    for i, j in itertools.product(range(n), repeat=2):
-        lhs = A.mu.of_pair(i, j)
-        rhs = vec_scale(A.eps(i, j), A.mu.of_pair(j, i))
-        if lhs != rhs:
-            rep.record((i, j), lhs, rhs)
-    return rep.finish()
+    return _sweep("epsilon-commutativity", A.dim, 2,
+                  lambda i, j: (A.mu.of_pair(i, j), vec_scale(A.eps(i, j), A.mu.of_pair(j, i))))
 
 
 def check_hom_lie(A):
     _require(A, "bracket", "alpha")
-    n = A.dim
-    skew = AxiomReport("epsilon-skew-symmetry")
-    for i, j in itertools.product(range(n), repeat=2):
-        lhs = A.bracket.of_pair(i, j)
-        rhs = vec_scale(-A.eps(i, j), A.bracket.of_pair(j, i))
-        if lhs != rhs:
-            skew.record((i, j), lhs, rhs)
-    jac = AxiomReport("hom-jacobi")
-    for i, j, k in itertools.product(range(n), repeat=3):
-        lhs, rhs = _jacobi_residual(A, i, j, k)
-        if lhs != rhs:
-            jac.record((i, j, k), lhs, rhs)
-    return [skew.finish(), jac.finish()]
+    br = A.bracket
+    skew = _sweep("epsilon-skew-symmetry", A.dim, 2,
+                  lambda i, j: (br.of_pair(i, j), vec_scale(-A.eps(i, j), br.of_pair(j, i))))
+    return [skew, _sweep("hom-jacobi", A.dim, 3, partial(_jacobi_residual, A))]
 
 
 def check_hom_leibniz(A):
     _require(A, "mu", "bracket", "alpha")
-    rep = AxiomReport("hom-leibniz")
-    n = A.dim
-    for i, j, k in itertools.product(range(n), repeat=3):
-        lhs, rhs = _leibniz_residual(A, i, j, k)
-        if lhs != rhs:
-            rep.record((i, j, k), lhs, rhs)
-    return rep.finish()
+    return _sweep("hom-leibniz", A.dim, 3, partial(_leibniz_residual, A))
 
 
 def check_hom_poisson(A, commutative=False):
@@ -393,12 +381,10 @@ def commutator_bracket(A):
     gate = check_hom_associative(A)
     if not gate.ok:
         raise HypothesisError("commutator bracket requires a Hom-associative product", [gate])
-    n = A.dim
-    entries = []
-    for i, j in itertools.product(range(n), repeat=2):
-        vec = vec_sub(A.mu.of_pair(i, j), vec_scale(A.eps(i, j), A.mu.of_pair(j, i)))
-        entries.extend((i, j, k, c) for k, c in enumerate(vec) if c != 0)
-    return A.replace(bracket=BilinearProduct(A.basis, tuple(entries)))
+    # e_i e_j = c e_k adds c to [e_i, e_j] and -eps(j, i) c to [e_j, e_i];
+    # BilinearProduct sums the two contributions per (i, j, k)
+    opposite = [(j, i, k, -A.eps(j, i) * c) for (i, j, k, c) in A.mu.entries]
+    return A.replace(bracket=BilinearProduct(A.basis, A.mu.entries + tuple(opposite)))
 
 
 def check_morphism(f, src, dst):
@@ -408,15 +394,7 @@ def check_morphism(f, src, dst):
         raise ShapeError("morphism check needs equal dimensions")
     if src.group != dst.group:
         raise ShapeError("morphism check needs a common grading group")
-    n = src.basis.dim
-    reports = []
-    rep = AxiomReport("morphism:alpha")
-    for j in range(n):
-        lhs = f.apply(src.alpha.column(j))
-        rhs = dst.alpha.apply(f.column(j))
-        if lhs != rhs:
-            rep.record((j,), lhs, rhs)
-    reports.append(rep.finish())
+    reports = [_intertwines("morphism:alpha", f, src.alpha, dst.alpha)]
     for name in ("mu", "bracket"):
         p_src = getattr(src, name)
         if p_src is None:
@@ -424,13 +402,10 @@ def check_morphism(f, src, dst):
         p_dst = getattr(dst, name)
         if p_dst is None:
             raise MissingComponentError(f"target algebra has no {name}")
-        rep = AxiomReport(f"morphism:{name}")
-        for i, j in itertools.product(range(n), repeat=2):
-            lhs = f.apply(p_src.of_pair(i, j))
-            rhs = p_dst.apply(f.column(i), f.column(j))
-            if lhs != rhs:
-                rep.record((i, j), lhs, rhs)
-        reports.append(rep.finish())
+        reports.append(_sweep(
+            f"morphism:{name}", src.dim, 2,
+            lambda i, j: (f.apply(p_src.of_pair(i, j)), p_dst.apply(f.column(i), f.column(j))),
+        ))
     return reports
 
 
@@ -438,9 +413,9 @@ def check_morphism(f, src, dst):
 # dual evaluation paths for arbitrary vectors (internal oracle)
 #
 # Path (a): trilinear combination of the per-basis-tuple residuals above.
-# Path (b): direct expansion through apply_product on (components of) the
-# vectors.  Both must agree everywhere; the test suite compares them on
-# random rational vectors.
+# Path (b): direct expansion through BilinearProduct.apply on (components
+# of) the vectors.  Both must agree everywhere; the test suite compares
+# them on random rational vectors.
 
 _RESIDUALS = {
     "associativity": (_assoc_residual, 3),

@@ -52,26 +52,56 @@ class AlgebraDocument:
     metadata: dict = field(default_factory=dict)
 
 
-def _need(obj, key, location):
+_REQUIRED = object()
+_JSON_TYPES = {dict: "an object", list: "a list"}
+
+
+def _need(obj, key, kind, location, default=_REQUIRED):
+    """obj[key], which must be a `kind` (dict or list); a missing key is an
+    error unless a default is given."""
     if key not in obj:
-        raise DocumentError("missing-field", f"required field {key!r} missing", location)
-    return obj[key]
+        if default is _REQUIRED:
+            raise DocumentError("missing-field", f"required field {key!r} missing", location)
+        return default
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise DocumentError("shape", f"field {key!r} must be {_JSON_TYPES[kind]}", location)
+    return value
 
 
-def _matrix(basis, rows, location):
+def _ints(value, location):
+    if not (isinstance(value, list)
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in value)):
+        raise DocumentError("shape", "must be a list of integers", location)
+    return tuple(value)
+
+
+def _rows(rows, location, noun="matrix"):
+    """A list of rows of exact rationals."""
     if not isinstance(rows, list):
-        raise DocumentError("shape", "matrix must be a list of rows", location)
+        raise DocumentError("shape", f"{noun} must be a list of rows", location)
     parsed = []
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise DocumentError("shape", "matrix row must be a list", f"{location}[{i}]")
         parsed.append(tuple(parse_rational(x, f"{location}[{i}][{j}]") for j, x in enumerate(row)))
+    return tuple(parsed)
+
+
+_EVEN = {EvennessError: "evenness", ShapeError: "shape"}
+
+
+def _located(location, codes, cls, *args):
+    """cls(*args), turning a library error listed in `codes` into a
+    DocumentError with that code at `location`."""
     try:
-        return EvenLinearMap(basis, tuple(parsed))
-    except EvennessError as exc:
-        raise DocumentError("evenness", str(exc), location) from exc
-    except ShapeError as exc:
-        raise DocumentError("shape", str(exc), location) from exc
+        return cls(*args)
+    except tuple(codes) as exc:
+        raise DocumentError(codes[type(exc)], str(exc), location) from exc
+
+
+def _matrix(basis, rows, location):
+    return _located(location, _EVEN, EvenLinearMap, basis, _rows(rows, location))
 
 
 def _product(basis, triples, location):
@@ -86,12 +116,7 @@ def _product(basis, triples, location):
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j, k)):
             raise DocumentError("shape", "indices must be integers", loc)
         entries.append((i, j, k, parse_rational(c, loc)))
-    try:
-        return BilinearProduct(basis, tuple(entries))
-    except EvennessError as exc:
-        raise DocumentError("evenness", str(exc), location) from exc
-    except ShapeError as exc:
-        raise DocumentError("shape", str(exc), location) from exc
+    return _located(location, _EVEN, BilinearProduct, basis, tuple(entries))
 
 
 def parse_document(text):
@@ -102,41 +127,35 @@ def parse_document(text):
     if not isinstance(raw, dict):
         raise DocumentError("malformed-json", "document must be a JSON object")
 
-    group_raw = _need(raw, "group", "group")
-    moduli = _need(group_raw, "moduli", "group")
-    try:
-        group = GroupSpec(tuple(moduli))
-    except (InvalidRepresentationError, TypeError) as exc:
-        raise DocumentError("shape", str(exc), "group.moduli") from exc
+    group_raw = _need(raw, "group", dict, "group")
+    moduli = _ints(_need(group_raw, "moduli", list, "group"), "group.moduli")
+    group = _located("group.moduli", {InvalidRepresentationError: "shape"}, GroupSpec, moduli)
 
-    basis_raw = _need(raw, "basis", "basis")
-    degrees = _need(basis_raw, "degrees", "basis")
+    basis_raw = _need(raw, "basis", dict, "basis")
+    degrees = _need(basis_raw, "degrees", list, "basis")
     for d, deg in enumerate(degrees):
-        if not group.is_canonical(tuple(deg)):
+        if not group.is_canonical(_ints(deg, f"basis.degrees[{d}]")):
             raise DocumentError(
                 "degree-out-of-range",
                 f"degree {deg} is not canonical for moduli {list(group.moduli)}",
                 f"basis.degrees[{d}]",
             )
-    try:
-        basis = GradedBasis(group, tuple(tuple(d) for d in degrees))
-    except ShapeError as exc:
-        raise DocumentError("shape", str(exc), "basis.degrees") from exc
+    basis = _located("basis.degrees", {ShapeError: "shape"},
+                     GradedBasis, group, tuple(tuple(d) for d in degrees))
 
-    eps_raw = _need(raw, "epsilon", "epsilon")
-    try:
-        if "matrix" in eps_raw:
-            epsilon = SignBicharacter(group, tuple(tuple(r) for r in eps_raw["matrix"]))
-        elif "table" in eps_raw:
-            epsilon = _table(group, eps_raw["table"], "epsilon.table")
-        else:
-            raise DocumentError("missing-field", "epsilon needs 'matrix' or 'table'", "epsilon")
-    except ShapeError as exc:
-        raise DocumentError("shape", str(exc), "epsilon") from exc
+    eps_raw = _need(raw, "epsilon", dict, "epsilon")
+    if "matrix" in eps_raw:
+        rows = _need(eps_raw, "matrix", list, "epsilon")
+        rows = tuple(_ints(r, f"epsilon.matrix[{i}]") for i, r in enumerate(rows))
+        epsilon = _located("epsilon", {ShapeError: "shape"}, SignBicharacter, group, rows)
+    elif "table" in eps_raw:
+        epsilon = _table(group, eps_raw["table"], "epsilon.table")
+    else:
+        raise DocumentError("missing-field", "epsilon needs 'matrix' or 'table'", "epsilon")
 
     mu = _product(basis, raw["mu"], "mu") if "mu" in raw else None
     bracket = _product(basis, raw["bracket"], "bracket") if "bracket" in raw else None
-    alpha = _matrix(basis, _need(raw, "alpha", "alpha"), "alpha")
+    alpha = _matrix(basis, _need(raw, "alpha", list, "alpha"), "alpha")
 
     try:
         algebra = GradedAlgebra(
@@ -146,16 +165,14 @@ def parse_document(text):
         raise DocumentError("shape", str(exc)) from exc
 
     operators = {}
-    for name, rows in sorted(raw.get("operators", {}).items()):
+    for name, rows in sorted(_need(raw, "operators", dict, "operators", {}).items()):
         operators[name] = _matrix(basis, rows, f"operators.{name}")
     multipliers = {}
-    for name, rows in sorted(raw.get("multipliers", {}).items()):
+    for name, rows in sorted(_need(raw, "multipliers", dict, "multipliers", {}).items()):
         multipliers[name] = _table(group, rows, f"multipliers.{name}")
 
-    metadata = raw.get("metadata", {})
-    if not isinstance(metadata, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
-    ):
+    metadata = _need(raw, "metadata", dict, "metadata", {})
+    if not all(isinstance(v, str) for v in metadata.values()):
         raise DocumentError("shape", "metadata must map strings to strings", "metadata")
 
     return AlgebraDocument(
@@ -168,18 +185,8 @@ def parse_document(text):
 
 
 def _table(group, rows, location):
-    if not isinstance(rows, list):
-        raise DocumentError("shape", "table must be a list of rows", location)
-    parsed = tuple(
-        tuple(parse_rational(x, f"{location}[{i}][{j}]") for j, x in enumerate(row))
-        for i, row in enumerate(rows)
-    )
-    try:
-        return MultiplierTable(group, parsed)
-    except InvalidRepresentationError as exc:
-        raise DocumentError("zero-entry", str(exc), location) from exc
-    except ShapeError as exc:
-        raise DocumentError("shape", str(exc), location) from exc
+    codes = {InvalidRepresentationError: "zero-entry", ShapeError: "shape"}
+    return _located(location, codes, MultiplierTable, group, _rows(rows, location, "table"))
 
 
 def serialize_document(doc):

@@ -23,7 +23,13 @@ MINUS_ONE = Fraction(-1)
 
 
 def group_order_bound():
-    return int(os.environ.get("ALGCHECK_GROUP_BOUND", DEFAULT_GROUP_BOUND))
+    raw = os.environ.get("ALGCHECK_GROUP_BOUND", DEFAULT_GROUP_BOUND)
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidRepresentationError(
+            f"ALGCHECK_GROUP_BOUND must be an integer, got {raw!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -80,10 +86,6 @@ class GroupSpec:
         for c, m in zip(a, self.moduli):
             i = i * m + c
         return i
-
-
-def group_add(g, a, b):
-    return g.add(a, b)
 
 
 @dataclass(frozen=True)

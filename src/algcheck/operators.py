@@ -12,6 +12,8 @@ from fractions import Fraction
 
 from .core import (
     EvenLinearMap,
+    _intertwines,
+    basis_vec,
     commutator_bracket,
     vec_add,
     vec_scale,
@@ -53,16 +55,6 @@ class OperatorClaim:
                 )
 
 
-def _alpha_commutation(A, b):
-    rep = AxiomReport("operator:alpha-commutation")
-    for j in range(A.dim):
-        lhs = b.apply(A.alpha.column(j))
-        rhs = A.alpha.apply(b.column(j))
-        if lhs != rhs:
-            rep.record((j,), lhs, rhs)
-    return rep.finish()
-
-
 def check_operator(A, claim, products="all"):
     """Check the claimed operator identities on all basis pairs, for each
     product of A selected by `products` ("all", "mu" or "bracket")."""
@@ -77,66 +69,42 @@ def check_operator(A, claim, products="all"):
         names = [products]
     else:
         raise ShapeError(f"unknown product selector {products!r}")
-    if not names:
-        raise MissingComponentError("algebra carries no product to check against")
 
-    reports = [_alpha_commutation(A, b)]
+    alpha = _intertwines("operator:alpha-commutation", b, A.alpha, A.alpha)
     ak = A.alpha.power(claim.power) if claim.kind in ("centroid", "averaging") else None
     n = A.dim
+    reports = {}  # one report per label, in first-seen order
+
+    def record(label, indices, lhs, rhs):
+        if label not in reports:
+            reports[label] = AxiomReport(label)
+        if lhs != rhs:
+            reports[label].record(indices, lhs, rhs)
+
     for name in names:
         p = getattr(A, name)
+        label = f"{claim.kind}:{name}"
         for i, j in itertools.product(range(n), repeat=2):
             bi, bj = b.column(i), b.column(j)
             if claim.kind == "centroid":
                 lhs = b.apply(p.of_pair(i, j))
-                rhs = p.apply(bi, ak.column(j))
-                reports.append(_one(f"centroid:{name}:left", (i, j), lhs, rhs, reports))
+                record(f"{label}:left", (i, j), lhs, p.apply(bi, ak.column(j)))
                 if name == "mu":
-                    rhs2 = p.apply(ak.column(i), bj)
-                    reports.append(_one(f"centroid:{name}:right", (i, j), lhs, rhs2, reports))
+                    record(f"{label}:right", (i, j), lhs, p.apply(ak.column(i), bj))
             elif claim.kind == "averaging":
                 mid = p.apply(bi, bj)
-                lhs = b.apply(p.apply(bi, ak.column(j)))
-                reports.append(_one(f"averaging:{name}:left", (i, j), lhs, mid, reports))
+                record(f"{label}:left", (i, j), b.apply(p.apply(bi, ak.column(j))), mid)
                 if name == "mu":
-                    rhs = b.apply(p.apply(ak.column(i), bj))
-                    reports.append(_one(f"averaging:{name}:right", (i, j), mid, rhs, reports))
-            elif claim.kind == "rota-baxter":
-                lhs = p.apply(bi, bj)
-                inner = vec_add(
-                    p.apply(bi, _unit(n, j)),
-                    p.apply(_unit(n, i), bj),
-                    vec_scale(claim.weight, p.of_pair(i, j)),
-                )
-                reports.append(_one(f"rota-baxter:{name}", (i, j), lhs, b.apply(inner), reports))
-            else:  # nijenhuis
-                lhs = p.apply(bi, bj)
-                inner = vec_add(
-                    p.apply(bi, _unit(n, j)),
-                    p.apply(_unit(n, i), bj),
-                    vec_scale(Fraction(-1), b.apply(p.of_pair(i, j))),
-                )
-                reports.append(_one(f"nijenhuis:{name}", (i, j), lhs, b.apply(inner), reports))
-    # collapse the per-pair placeholder scheme into one report per label
-    merged = {}
-    order = []
-    for r in reports:
-        if r.axiom not in merged:
-            merged[r.axiom] = AxiomReport(r.axiom)
-            order.append(r.axiom)
-        merged[r.axiom].violations.extend(r.violations)
-    return [merged[label].finish() for label in order]
-
-
-def _unit(n, i):
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-
-
-def _one(label, indices, lhs, rhs, _reports):
-    rep = AxiomReport(label)
-    if lhs != rhs:
-        rep.record(indices, lhs, rhs)
-    return rep
+                    record(f"{label}:right", (i, j), mid, b.apply(p.apply(ak.column(i), bj)))
+            else:
+                # Rota-Baxter and Nijenhuis differ only in the last term:
+                # weight * p(e_i, e_j) versus -b(p(e_i, e_j))
+                pij = p.of_pair(i, j)
+                last = (vec_scale(claim.weight, pij) if claim.kind == "rota-baxter"
+                        else vec_scale(-1, b.apply(pij)))
+                inner = vec_add(p.apply(bi, basis_vec(n, j)), p.apply(basis_vec(n, i), bj), last)
+                record(label, (i, j), p.apply(bi, bj), b.apply(inner))
+    return [alpha] + [r.finish() for r in reports.values()]
 
 
 def check_nijenhuis_transfer(A, N):

@@ -5,7 +5,6 @@ tuple, which by multilinearity certifies it on the whole algebra.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 
 def _tup(value):
@@ -58,22 +57,16 @@ class AxiomReport:
             "violations": [
                 {
                     "indices": list(v.indices),
-                    "lhs": [_fmt_scalar(x) for x in v.lhs],
-                    "rhs": [_fmt_scalar(x) for x in v.rhs],
+                    "lhs": [str(x) for x in v.lhs],
+                    "rhs": [str(x) for x in v.rhs],
                 }
                 for v in self.violations
             ],
         }
 
 
-def _fmt_scalar(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    return str(x)
-
-
 def _fmt(values):
-    return "(" + ", ".join(_fmt_scalar(x) for x in values) + ")"
+    return "(" + ", ".join(map(str, values)) + ")"
 
 
 def all_ok(reports):

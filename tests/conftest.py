@@ -1,3 +1,4 @@
+import json
 import pathlib
 from fractions import Fraction as F
 
@@ -18,6 +19,28 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 def load_fixture(name):
     return parse_document((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+
+
+# valid JSON with a wrongly typed field: (path into rb2dim.json, value)
+WRONG_TYPED_FIELDS = [
+    pytest.param(("group",), 5, id="group-int"),
+    pytest.param(("basis", "degrees"), 5, id="degrees-int"),
+    pytest.param(("epsilon",), 5, id="epsilon-int"),
+    pytest.param(("operators",), [1], id="operators-list"),
+    pytest.param(("group", "moduli"), ["x"], id="moduli-str"),
+    pytest.param(("group", "moduli"), [2.5], id="moduli-float"),
+    pytest.param(("group", "moduli"), [True], id="moduli-bool"),
+]
+
+
+def rb2dim_with(path, value):
+    """The rb2dim fixture as a JSON object, with the field at `path` replaced."""
+    raw = json.loads((FIXTURES / "rb2dim.json").read_text(encoding="utf-8"))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
 
 
 def three_dim(a=F(2), exponent=1, corrected=True):

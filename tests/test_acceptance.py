@@ -16,7 +16,6 @@ import pytest
 from algcheck import (
     EvenLinearMap,
     all_ok,
-    apply_product,
     averaging_twist_pairwise,
     averaging_twist_power,
     averaging_twist_untwisted,
@@ -87,7 +86,7 @@ def test_criterion_2_rota_baxter_fixture():
         for i in range(n):
             for j in range(n):
                 prod = A.mu.of_pair(i, j)
-                lhs = apply_product(A.mu, R.apply(unit(i)), R.apply(unit(j)))
+                lhs = A.mu.apply(R.apply(unit(i)), R.apply(unit(j)))
                 mid = vec_scale(lam * lam, prod)
                 rhs = R.apply(vec_scale(-lam, prod))
                 if not lhs == mid == rhs:

@@ -5,7 +5,7 @@ import pytest
 from algcheck import parse_document
 from algcheck.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, WRONG_TYPED_FIELDS, rb2dim_with
 
 
 def fx(name):
@@ -45,6 +45,19 @@ class TestValidate:
         p = tmp_path / "bad.json"
         p.write_text("{", encoding="utf-8")
         assert main(["validate", str(p)]) == 2
+
+    @pytest.mark.parametrize("path,value", WRONG_TYPED_FIELDS)
+    def test_wrongly_typed_field(self, tmp_path, capsys, path, value):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(rb2dim_with(path, value)), encoding="utf-8")
+        assert main(["validate", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: shape") and "Traceback" not in err
+
+    def test_bad_group_bound_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv("ALGCHECK_GROUP_BOUND", "abc")
+        assert main(["validate", fx("rb2dim")]) == 2
+        assert "ALGCHECK_GROUP_BOUND" in capsys.readouterr().err
 
 
 class TestReport:

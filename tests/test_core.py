@@ -15,7 +15,6 @@ from algcheck import (
     SignBicharacter,
     SingularMapError,
     all_ok,
-    apply_product,
     check_epsilon_commutative,
     check_hom_associative,
     check_hom_leibniz,
@@ -30,9 +29,9 @@ from conftest import three_dim
 
 def test_apply_product_examples(example3):
     e = lambda i: tuple(F(1) if j == i else F(0) for j in range(3))
-    assert apply_product(example3.mu, e(1), e(2)) == (0, 0, 1)
-    assert apply_product(example3.mu, e(2), e(0)) == (0, 0, 2)  # e3.e1 = a e3, a = 2
-    assert apply_product(example3.mu, e(1), (0, 0, 0)) == (0, 0, 0)
+    assert example3.mu.apply(e(1), e(2)) == (0, 0, 1)
+    assert example3.mu.apply(e(2), e(0)) == (0, 0, 2)  # e3.e1 = a e3, a = 2
+    assert example3.mu.apply(e(1), (0, 0, 0)) == (0, 0, 0)
 
 
 def test_apply_product_shape_error(example3):

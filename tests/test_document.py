@@ -11,7 +11,7 @@ from algcheck import (
     serialize_document,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, WRONG_TYPED_FIELDS, rb2dim_with
 
 ALL_FIXTURES = sorted(p.stem for p in FIXTURES.glob("*.json"))
 
@@ -116,6 +116,10 @@ class TestParseErrors:
         raw = self._base()
         raw["epsilon"] = {}
         self._expect(raw, "missing-field", "epsilon")
+
+    @pytest.mark.parametrize("path,value", WRONG_TYPED_FIELDS)
+    def test_wrongly_typed_field(self, path, value):
+        self._expect(rb2dim_with(path, value), "shape")
 
     def test_indices_must_be_ints(self):
         raw = self._base()

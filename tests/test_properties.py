@@ -1,5 +1,7 @@
+import itertools
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from algcheck import (
@@ -12,14 +14,26 @@ from algcheck import (
     OperatorClaim,
     SignBicharacter,
     all_ok,
-    apply_product,
     check_operator,
+    commutator_bracket,
     validate_bicharacter,
     validate_multiplier,
 )
-from algcheck.core import residual_from_basis, residual_direct, vec_add, vec_scale, vec_is_zero
+from algcheck.constructions import _pulled
+from algcheck.core import (
+    residual_direct,
+    residual_from_basis,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+    vec_sub,
+)
 
-from conftest import three_dim
+from conftest import load_fixture, three_dim
+
+HOM_ASSOCIATIVE_FIXTURES = [
+    "comm2", "diff4", "example3_corrected", "group_algebra_z2", "group_algebra_z2sq", "rb2dim",
+]
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 vec3 = st.tuples(rationals, rationals, rationals)
@@ -69,11 +83,11 @@ def test_coboundaries_are_multipliers_and_products_close(data):
 @given(vec3, vec3, vec3, rationals)
 def test_product_is_bilinear(x, y, z, c):
     mu = three_dim().mu
-    lhs = apply_product(mu, vec_add(x, vec_scale(c, y)), z)
-    rhs = vec_add(apply_product(mu, x, z), vec_scale(c, apply_product(mu, y, z)))
+    lhs = mu.apply(vec_add(x, vec_scale(c, y)), z)
+    rhs = vec_add(mu.apply(x, z), vec_scale(c, mu.apply(y, z)))
     assert lhs == rhs
-    lhs = apply_product(mu, z, vec_add(x, vec_scale(c, y)))
-    rhs = vec_add(apply_product(mu, z, x), vec_scale(c, apply_product(mu, z, y)))
+    lhs = mu.apply(z, vec_add(x, vec_scale(c, y)))
+    rhs = vec_add(mu.apply(z, x), vec_scale(c, mu.apply(z, y)))
     assert lhs == rhs
 
 
@@ -129,3 +143,39 @@ def test_operator_verdicts_are_permutation_invariant(perm, diag):
         va = all_ok(check_operator(A, OperatorClaim(m_a, kind, **kw)))
         vb = all_ok(check_operator(B, OperatorClaim(m_b, kind, **kw)))
         assert va == vb
+
+
+@given(st.sampled_from(HOM_ASSOCIATIVE_FIXTURES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pulled_builder_matches_dense_formula(name, data):
+    # the sparse builder against its definition
+    # (x, y) -> scale * post(p(left x, right y)), None being the identity
+    A = load_fixture(name).algebra
+    n, degs = A.dim, A.basis.degrees
+    small = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(-1, 3)])
+
+    def even_map():
+        if data.draw(st.booleans()):
+            return None
+        return EvenLinearMap(A.basis, tuple(
+            tuple(data.draw(small) if degs[r] == degs[c] else F(0) for c in range(n))
+            for r in range(n)
+        ))
+
+    p = data.draw(st.sampled_from([q for q in (A.mu, A.bracket) if q is not None]))
+    left, right, post, scale = even_map(), even_map(), even_map(), data.draw(small)
+    built = BilinearProduct(A.basis, tuple(_pulled(p, left, right, post, scale)))
+    ident = EvenLinearMap.identity(A.basis)
+    L, M, P = (ident if m is None else m for m in (left, right, post))
+    for i, j in itertools.product(range(n), repeat=2):
+        expected = vec_scale(scale, P.apply(p.apply(L.column(i), M.column(j))))
+        assert built.of_pair(i, j) == expected
+
+
+@pytest.mark.parametrize("name", HOM_ASSOCIATIVE_FIXTURES)
+def test_commutator_bracket_matches_dense_formula(name):
+    A = load_fixture(name).algebra
+    bracket = commutator_bracket(A).bracket
+    for i, j in itertools.product(range(A.dim), repeat=2):
+        expected = vec_sub(A.mu.of_pair(i, j), vec_scale(A.eps(i, j), A.mu.of_pair(j, i)))
+        assert bracket.of_pair(i, j) == expected
