@@ -5,12 +5,20 @@ even (degree preserving), and bilinear products are sparse structure
 constant tables whose nonzero constants respect the grading.  The
 checkers sweep every basis pair/triple; an empty report certifies the
 identity on the whole algebra by multilinearity.
+
+The sweeps run on sparse vectors, {index: Fraction} dicts with zeros
+dropped: a product visits only the nonzero x_i and, in the product's row
+index for i, only the nonzero y_j; a map reads its sparse columns.  Each
+sweep still visits every basis tuple.  Only a recorded violation is
+expanded into dense tuples of Fraction, so reports are the same as those
+of the dense formulas, which the public `apply` methods keep.
 """
 
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from types import MappingProxyType
 
 from .errors import (
     EvennessError,
@@ -23,18 +31,11 @@ from .report import AxiomReport
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_EMPTY = MappingProxyType({})
 
 
 # ---------------------------------------------------------------------------
 # exact vectors
-
-def zero_vec(dim):
-    return (ZERO,) * dim
-
-
-def basis_vec(dim, i):
-    return tuple(ONE if j == i else ZERO for j in range(dim))
-
 
 def vec_add(*vs):
     return tuple(sum(col) for col in zip(*vs))
@@ -81,6 +82,7 @@ class EvenLinearMap:
 
     basis: GradedBasis
     matrix: tuple
+    _columns: tuple = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.basis.dim
@@ -95,6 +97,10 @@ class EvenLinearMap:
                         f"entry ({i},{j}) links degree {degs[j]} to {degs[i]}"
                     )
         object.__setattr__(self, "matrix", rows)
+        # column j as {i: c}, nonzero entries only
+        object.__setattr__(self, "_columns", tuple(
+            {i: rows[i][j] for i in range(n) if rows[i][j]} for j in range(n)
+        ))
 
     @classmethod
     def identity(cls, basis):
@@ -173,11 +179,14 @@ class EvenLinearMap:
 @dataclass(frozen=True)
 class BilinearProduct:
     """Sparse structure constants: entries are (i, j, k, c) with
-    e_i e_j = sum_k c e_k, sorted lexicographically, zero c dropped."""
+    e_i e_j = sum_k c e_k, sorted lexicographically, zero c dropped.
+    Indexed as the pair map (i, j) -> {k: c} and the row index
+    i -> [(j, ((k, c), ...))], both in entry order."""
 
     basis: GradedBasis
     entries: tuple
     _table: dict = field(default=None, compare=False, repr=False)
+    _rows: dict = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.basis.dim
@@ -202,8 +211,12 @@ class BilinearProduct:
         object.__setattr__(self, "entries", tuple(clean))
         table = {}
         for (i, j, k, c) in clean:
-            table.setdefault((i, j), []).append((k, c))
+            table.setdefault((i, j), {})[k] = c
+        rows = {}
+        for (i, j), terms in table.items():
+            rows.setdefault(i, []).append((j, tuple(terms.items())))
         object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_rows", rows)
 
     @classmethod
     def zero(cls, basis):
@@ -212,7 +225,7 @@ class BilinearProduct:
     def of_pair(self, i, j):
         n = self.basis.dim
         out = [ZERO] * n
-        for k, c in self._table.get((i, j), ()):
+        for k, c in self._table.get((i, j), _EMPTY).items():
             out[k] += c
         return tuple(out)
 
@@ -226,7 +239,7 @@ class BilinearProduct:
             f = x[i] * y[j]
             if f == 0:
                 continue
-            for k, c in terms:
+            for k, c in terms.items():
                 out[k] += f * c
         return tuple(out)
 
@@ -286,6 +299,56 @@ def components(basis, vec):
 
 
 # ---------------------------------------------------------------------------
+# sparse kernel: vectors are {index: Fraction} dicts with zeros dropped
+
+def _nonzero(acc):
+    return {k: v for k, v in acc.items() if v}
+
+
+def _product(p, x, y):
+    """p(x, y): the nonzero x_i, then the nonzero y_j of row i's index."""
+    acc = {}
+    rows = p._rows
+    for i, xi in x.items():
+        for j, terms in rows.get(i, ()):
+            yj = y.get(j)
+            if yj is None:
+                continue
+            f = xi * yj
+            for k, c in terms:
+                acc[k] = acc[k] + f * c if k in acc else f * c
+    return _nonzero(acc)
+
+
+def _mapped(m, x):
+    """m(x), read from m's sparse columns."""
+    acc = {}
+    columns = m._columns
+    for j, xj in x.items():
+        for i, c in columns[j].items():
+            acc[i] = acc[i] + c * xj if i in acc else c * xj
+    return _nonzero(acc)
+
+
+def _combined(*terms):
+    """The sum of c * v over the (c, v) terms."""
+    acc = {}
+    for c, v in terms:
+        for k, x in v.items():
+            acc[k] = acc[k] + c * x if k in acc else c * x
+    return _nonzero(acc)
+
+
+def _pair(p, i, j):
+    """p(e_i, e_j), read-only."""
+    return p._table.get((i, j), _EMPTY)
+
+
+def _dense(v, n):
+    return tuple(v.get(k, ZERO) for k in range(n))
+
+
+# ---------------------------------------------------------------------------
 # per-basis-tuple residuals (structure-constant composition path)
 
 def _require(A, *names):
@@ -294,28 +357,36 @@ def _require(A, *names):
             raise MissingComponentError(f"algebra has no {name}")
 
 
-def _assoc_residual(A, i, j, k):
-    ai, ak = A.alpha.column(i), A.alpha.column(k)
-    lhs = A.mu.apply(ai, A.mu.of_pair(j, k))
-    rhs = A.mu.apply(A.mu.of_pair(i, j), ak)
-    return lhs, rhs
+def _context(A):
+    """Built once per sweep: alpha's sparse columns and eps[i][j] = eps(i, j)."""
+    n = A.dim
+    return A.alpha._columns, tuple(tuple(A.eps(i, j) for j in range(n)) for i in range(n))
 
 
-def _jacobi_residual(A, i, j, k):
+def _assoc_residual(A, ctx, i, j, k):
+    a, _ = ctx
+    mu = A.mu
+    return _product(mu, a[i], _pair(mu, j, k)), _product(mu, _pair(mu, i, j), a[k])
+
+
+def _jacobi_residual(A, ctx, i, j, k):
+    a, eps = ctx
     br = A.bracket
-    ai, aj, ak = A.alpha.column(i), A.alpha.column(j), A.alpha.column(k)
-    t1 = vec_scale(A.eps(k, i), br.apply(ai, br.of_pair(j, k)))
-    t2 = vec_scale(A.eps(i, j), br.apply(aj, br.of_pair(k, i)))
-    t3 = vec_scale(A.eps(j, k), br.apply(ak, br.of_pair(i, j)))
-    return vec_add(t1, t2, t3), zero_vec(A.dim)
+    lhs = _combined(
+        (eps[k][i], _product(br, a[i], _pair(br, j, k))),
+        (eps[i][j], _product(br, a[j], _pair(br, k, i))),
+        (eps[j][k], _product(br, a[k], _pair(br, i, j))),
+    )
+    return lhs, {}
 
 
-def _leibniz_residual(A, i, j, k):
-    ai, aj, ak = A.alpha.column(i), A.alpha.column(j), A.alpha.column(k)
-    lhs = A.bracket.apply(ai, A.mu.of_pair(j, k))
-    rhs = vec_add(
-        A.mu.apply(A.bracket.of_pair(i, j), ak),
-        vec_scale(A.eps(i, j), A.mu.apply(aj, A.bracket.of_pair(i, k))),
+def _leibniz_residual(A, ctx, i, j, k):
+    a, eps = ctx
+    mu, br = A.mu, A.bracket
+    lhs = _product(br, a[i], _pair(mu, j, k))
+    rhs = _combined(
+        (ONE, _product(mu, _pair(br, i, j), a[k])),
+        (eps[i][j], _product(mu, a[j], _pair(br, i, k))),
     )
     return lhs, rhs
 
@@ -325,43 +396,45 @@ def _leibniz_residual(A, i, j, k):
 
 def _sweep(label, n, arity, residual):
     """One report for `label` over every basis tuple of the given arity;
-    `residual(*indices)` returns the (lhs, rhs) pair that must agree."""
+    `residual(*indices)` returns the sparse (lhs, rhs) pair that must
+    agree, expanded into dense tuples only when recorded."""
     rep = AxiomReport(label)
     for idx in itertools.product(range(n), repeat=arity):
         lhs, rhs = residual(*idx)
         if lhs != rhs:
-            rep.record(idx, lhs, rhs)
+            rep.record(idx, _dense(lhs, n), _dense(rhs, n))
     return rep.finish()
 
 
 def _intertwines(label, f, src_alpha, dst_alpha):
     """f . src_alpha == dst_alpha . f, column by column."""
     return _sweep(label, f.basis.dim, 1,
-                  lambda j: (f.apply(src_alpha.column(j)), dst_alpha.apply(f.column(j))))
+                  lambda j: (_mapped(f, src_alpha._columns[j]), _mapped(dst_alpha, f._columns[j])))
 
 
 def check_hom_associative(A):
     _require(A, "mu", "alpha")
-    return _sweep("hom-associativity", A.dim, 3, partial(_assoc_residual, A))
+    return _sweep("hom-associativity", A.dim, 3, partial(_assoc_residual, A, _context(A)))
 
 
 def check_epsilon_commutative(A):
     _require(A, "mu")
+    mu = A.mu
     return _sweep("epsilon-commutativity", A.dim, 2,
-                  lambda i, j: (A.mu.of_pair(i, j), vec_scale(A.eps(i, j), A.mu.of_pair(j, i))))
+                  lambda i, j: (_pair(mu, i, j), _combined((A.eps(i, j), _pair(mu, j, i)))))
 
 
 def check_hom_lie(A):
     _require(A, "bracket", "alpha")
     br = A.bracket
     skew = _sweep("epsilon-skew-symmetry", A.dim, 2,
-                  lambda i, j: (br.of_pair(i, j), vec_scale(-A.eps(i, j), br.of_pair(j, i))))
-    return [skew, _sweep("hom-jacobi", A.dim, 3, partial(_jacobi_residual, A))]
+                  lambda i, j: (_pair(br, i, j), _combined((-A.eps(i, j), _pair(br, j, i)))))
+    return [skew, _sweep("hom-jacobi", A.dim, 3, partial(_jacobi_residual, A, _context(A)))]
 
 
 def check_hom_leibniz(A):
     _require(A, "mu", "bracket", "alpha")
-    return _sweep("hom-leibniz", A.dim, 3, partial(_leibniz_residual, A))
+    return _sweep("hom-leibniz", A.dim, 3, partial(_leibniz_residual, A, _context(A)))
 
 
 def check_hom_poisson(A, commutative=False):
@@ -395,6 +468,7 @@ def check_morphism(f, src, dst):
     if src.group != dst.group:
         raise ShapeError("morphism check needs a common grading group")
     reports = [_intertwines("morphism:alpha", f, src.alpha, dst.alpha)]
+    columns = f._columns
     for name in ("mu", "bracket"):
         p_src = getattr(src, name)
         if p_src is None:
@@ -404,7 +478,7 @@ def check_morphism(f, src, dst):
             raise MissingComponentError(f"target algebra has no {name}")
         reports.append(_sweep(
             f"morphism:{name}", src.dim, 2,
-            lambda i, j: (f.apply(p_src.of_pair(i, j)), p_dst.apply(f.column(i), f.column(j))),
+            lambda i, j: (_mapped(f, _pair(p_src, i, j)), _product(p_dst, columns[i], columns[j])),
         ))
     return reports
 
@@ -429,6 +503,7 @@ def residual_from_basis(A, axiom, vectors):
     if len(vectors) != arity:
         raise ShapeError(f"{axiom} takes {arity} vectors")
     n = A.dim
+    ctx = _context(A)
     out = [ZERO] * n
     for idx in itertools.product(range(n), repeat=arity):
         coeff = ONE
@@ -436,7 +511,7 @@ def residual_from_basis(A, axiom, vectors):
             coeff *= v[i]
         if coeff == 0:
             continue
-        lhs, rhs = fn(A, *idx)
+        lhs, rhs = (_dense(v, n) for v in fn(A, ctx, *idx))
         for k in range(n):
             out[k] += coeff * (lhs[k] - rhs[k])
     return tuple(out)

@@ -22,6 +22,14 @@ ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
 
 
+def _integers(values, what):
+    """values as a tuple; every value must be an int, and not a bool."""
+    values = tuple(values)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise InvalidRepresentationError(f"{what} must be integers, got {values}")
+    return values
+
+
 def group_order_bound():
     raw = os.environ.get("ALGCHECK_GROUP_BOUND", DEFAULT_GROUP_BOUND)
     try:
@@ -39,7 +47,7 @@ class GroupSpec:
     moduli: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
+        object.__setattr__(self, "moduli", _integers(self.moduli, "cyclic factor sizes"))
         if any(m < 1 for m in self.moduli):
             raise InvalidRepresentationError(f"cyclic factor sizes must be >= 1: {self.moduli}")
         if self.order > group_order_bound():
@@ -97,7 +105,8 @@ class SignBicharacter:
 
     def __post_init__(self):
         r = self.group.rank
-        rows = tuple(tuple(int(x) % 2 for x in row) for row in self.matrix)
+        rows = tuple(tuple(x % 2 for x in _integers(row, "exponent entries"))
+                     for row in self.matrix)
         if len(rows) != r or any(len(row) != r for row in rows):
             raise ShapeError(f"exponent matrix must be {r}x{r}")
         object.__setattr__(self, "matrix", rows)

@@ -11,12 +11,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    ONE,
     EvenLinearMap,
+    _combined,
+    _dense,
     _intertwines,
-    basis_vec,
+    _mapped,
+    _pair,
+    _product,
     commutator_bracket,
-    vec_add,
-    vec_scale,
 )
 from .errors import (
     HypothesisError,
@@ -71,39 +74,42 @@ def check_operator(A, claim, products="all"):
         raise ShapeError(f"unknown product selector {products!r}")
 
     alpha = _intertwines("operator:alpha-commutation", b, A.alpha, A.alpha)
-    ak = A.alpha.power(claim.power) if claim.kind in ("centroid", "averaging") else None
+    ak = A.alpha.power(claim.power)._columns if claim.kind in ("centroid", "averaging") else None
     n = A.dim
+    bc = b._columns
     reports = {}  # one report per label, in first-seen order
 
     def record(label, indices, lhs, rhs):
+        # lhs and rhs are sparse; expanded only when recorded
         if label not in reports:
             reports[label] = AxiomReport(label)
         if lhs != rhs:
-            reports[label].record(indices, lhs, rhs)
+            reports[label].record(indices, _dense(lhs, n), _dense(rhs, n))
 
     for name in names:
         p = getattr(A, name)
         label = f"{claim.kind}:{name}"
         for i, j in itertools.product(range(n), repeat=2):
-            bi, bj = b.column(i), b.column(j)
+            bi, bj = bc[i], bc[j]
             if claim.kind == "centroid":
-                lhs = b.apply(p.of_pair(i, j))
-                record(f"{label}:left", (i, j), lhs, p.apply(bi, ak.column(j)))
+                lhs = _mapped(b, _pair(p, i, j))
+                record(f"{label}:left", (i, j), lhs, _product(p, bi, ak[j]))
                 if name == "mu":
-                    record(f"{label}:right", (i, j), lhs, p.apply(ak.column(i), bj))
+                    record(f"{label}:right", (i, j), lhs, _product(p, ak[i], bj))
             elif claim.kind == "averaging":
-                mid = p.apply(bi, bj)
-                record(f"{label}:left", (i, j), b.apply(p.apply(bi, ak.column(j))), mid)
+                mid = _product(p, bi, bj)
+                record(f"{label}:left", (i, j), _mapped(b, _product(p, bi, ak[j])), mid)
                 if name == "mu":
-                    record(f"{label}:right", (i, j), mid, b.apply(p.apply(ak.column(i), bj)))
+                    record(f"{label}:right", (i, j), mid, _mapped(b, _product(p, ak[i], bj)))
             else:
                 # Rota-Baxter and Nijenhuis differ only in the last term:
                 # weight * p(e_i, e_j) versus -b(p(e_i, e_j))
-                pij = p.of_pair(i, j)
-                last = (vec_scale(claim.weight, pij) if claim.kind == "rota-baxter"
-                        else vec_scale(-1, b.apply(pij)))
-                inner = vec_add(p.apply(bi, basis_vec(n, j)), p.apply(basis_vec(n, i), bj), last)
-                record(label, (i, j), p.apply(bi, bj), b.apply(inner))
+                pij = _pair(p, i, j)
+                last = ((claim.weight, pij) if claim.kind == "rota-baxter"
+                        else (-ONE, _mapped(b, pij)))
+                inner = _combined((ONE, _product(p, bi, {j: ONE})),
+                                  (ONE, _product(p, {i: ONE}, bj)), last)
+                record(label, (i, j), _product(p, bi, bj), _mapped(b, inner))
     return [alpha] + [r.finish() for r in reports.values()]
 
 

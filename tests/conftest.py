@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 from fractions import Fraction as F
@@ -90,3 +91,114 @@ def group_algebra_z2():
 @pytest.fixture
 def diff4():
     return load_fixture("diff4")
+
+
+# ---------------------------------------------------------------------------
+# dense reference for the sweeps: the residual formulas on dense tuples,
+# through the public apply, of_pair and column only.  A report is
+# (label, [(indices, lhs, rhs), ...]).
+
+def _add(*vs):
+    return tuple(sum(col, F(0)) for col in zip(*vs))
+
+
+def _scale(c, v):
+    return tuple(c * x for x in v)
+
+
+def _ref_sweep(label, n, arity, residual):
+    violations = []
+    for idx in itertools.product(range(n), repeat=arity):
+        lhs, rhs = residual(*idx)
+        if lhs != rhs:
+            violations.append((idx, lhs, rhs))
+    return label, violations
+
+
+def ref_hom_associative(A):
+    mu, al = A.mu, A.alpha
+    return [_ref_sweep("hom-associativity", A.dim, 3, lambda i, j, k: (
+        mu.apply(al.column(i), mu.of_pair(j, k)), mu.apply(mu.of_pair(i, j), al.column(k))))]
+
+
+def ref_epsilon_commutative(A):
+    mu = A.mu
+    return [_ref_sweep("epsilon-commutativity", A.dim, 2, lambda i, j: (
+        mu.of_pair(i, j), _scale(A.eps(i, j), mu.of_pair(j, i))))]
+
+
+def ref_hom_lie(A):
+    br, al, n = A.bracket, A.alpha, A.dim
+
+    def jacobi(i, j, k):
+        # eps(c, a) [alpha e_a, [e_b, e_c]] over the cyclic shifts of (i, j, k)
+        cyclic = ((i, j, k), (j, k, i), (k, i, j))
+        return (_add(*(_scale(A.eps(c, a), br.apply(al.column(a), br.of_pair(b, c)))
+                       for a, b, c in cyclic)),
+                (F(0),) * n)
+
+    return [_ref_sweep("epsilon-skew-symmetry", n, 2, lambda i, j: (
+                br.of_pair(i, j), _scale(-A.eps(i, j), br.of_pair(j, i)))),
+            _ref_sweep("hom-jacobi", n, 3, jacobi)]
+
+
+def ref_hom_leibniz(A):
+    mu, br, al = A.mu, A.bracket, A.alpha
+    return [_ref_sweep("hom-leibniz", A.dim, 3, lambda i, j, k: (
+        br.apply(al.column(i), mu.of_pair(j, k)),
+        _add(mu.apply(br.of_pair(i, j), al.column(k)),
+             _scale(A.eps(i, j), mu.apply(al.column(j), br.of_pair(i, k))))))]
+
+
+def _ref_intertwines(label, f, src_alpha, dst_alpha):
+    return _ref_sweep(label, f.basis.dim, 1, lambda j: (
+        f.apply(src_alpha.column(j)), dst_alpha.apply(f.column(j))))
+
+
+def ref_morphism(f, src, dst):
+    reports = [_ref_intertwines("morphism:alpha", f, src.alpha, dst.alpha)]
+    for name in ("mu", "bracket"):
+        p, q = getattr(src, name), getattr(dst, name)
+        if p is not None:
+            reports.append(_ref_sweep(f"morphism:{name}", src.dim, 2, lambda i, j: (
+                f.apply(p.of_pair(i, j)), q.apply(f.column(i), f.column(j)))))
+    return reports
+
+
+def ref_operator(A, claim):
+    """check_operator(A, claim) for every product A carries."""
+    b, n, kind = claim.map, A.dim, claim.kind
+    unit = EvenLinearMap.identity(A.basis).column
+    ak = A.alpha.power(claim.power)
+    reports = {}  # label -> violations, in first-seen order
+
+    def record(label, idx, lhs, rhs):
+        violations = reports.setdefault(label, [])
+        if lhs != rhs:
+            violations.append((idx, lhs, rhs))
+
+    for name in ("mu", "bracket"):
+        p = getattr(A, name)
+        if p is None:
+            continue
+        label = f"{kind}:{name}"
+        for i, j in itertools.product(range(n), repeat=2):
+            bi, bj = b.column(i), b.column(j)
+            if kind == "centroid":
+                lhs = b.apply(p.of_pair(i, j))
+                record(f"{label}:left", (i, j), lhs, p.apply(bi, ak.column(j)))
+                if name == "mu":
+                    record(f"{label}:right", (i, j), lhs, p.apply(ak.column(i), bj))
+            elif kind == "averaging":
+                mid = p.apply(bi, bj)
+                record(f"{label}:left", (i, j), b.apply(p.apply(bi, ak.column(j))), mid)
+                if name == "mu":
+                    record(f"{label}:right", (i, j), mid, b.apply(p.apply(ak.column(i), bj)))
+            else:
+                pij = p.of_pair(i, j)
+                last = (_scale(claim.weight, pij) if kind == "rota-baxter"
+                        else _scale(F(-1), b.apply(pij)))
+                inner = _add(p.apply(bi, unit(j)), p.apply(unit(i), bj), last)
+                record(label, (i, j), p.apply(bi, bj), b.apply(inner))
+    alpha = _ref_intertwines("operator:alpha-commutation", b, A.alpha, A.alpha)
+    return [alpha] + list(reports.items())

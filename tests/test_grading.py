@@ -55,6 +55,11 @@ class TestGroup:
         g = GroupSpec((1, 2))
         assert g.order == 2 and g.elements()[0] == (0, 0)
 
+    @pytest.mark.parametrize("modulus", [2.5, 2.0, True, "2", F(2)])
+    def test_non_integer_modulus_rejected(self, modulus):
+        with pytest.raises(InvalidRepresentationError):
+            GroupSpec((2, modulus))
+
 
 class TestBicharacter:
     def test_sign_on_z2(self):
@@ -84,6 +89,15 @@ class TestBicharacter:
         e = SignBicharacter(Z2SQ, ((0, 1), (0, 0)))
         reports = {r.axiom: r for r in validate_bicharacter(e)}
         assert not reports["bicharacter:skew-symmetry"].ok
+
+    @pytest.mark.parametrize("entry", [1.5, 1.0, "1", True, F(1)])
+    def test_non_integer_exponent_rejected(self, entry):
+        with pytest.raises(InvalidRepresentationError):
+            SignBicharacter(Z2SQ, ((0, entry), (entry, 0)))
+
+    def test_integer_exponents_reduce_mod_2(self):
+        e = SignBicharacter(Z2SQ, ((3, -2), (4, -1)))
+        assert e.matrix == ((1, 0), (0, 1))
 
     def test_remark_consequences(self):
         e = SignBicharacter(Z2SQ, ((1, 1), (1, 0)))

@@ -14,6 +14,12 @@ from algcheck import (
     OperatorClaim,
     SignBicharacter,
     all_ok,
+    check_epsilon_commutative,
+    check_hom_associative,
+    check_hom_leibniz,
+    check_hom_lie,
+    check_hom_poisson,
+    check_morphism,
     check_operator,
     commutator_bracket,
     validate_bicharacter,
@@ -29,7 +35,16 @@ from algcheck.core import (
     vec_sub,
 )
 
-from conftest import load_fixture, three_dim
+from conftest import (
+    load_fixture,
+    ref_epsilon_commutative,
+    ref_hom_associative,
+    ref_hom_leibniz,
+    ref_hom_lie,
+    ref_morphism,
+    ref_operator,
+    three_dim,
+)
 
 HOM_ASSOCIATIVE_FIXTURES = [
     "comm2", "diff4", "example3_corrected", "group_algebra_z2", "group_algebra_z2sq", "rb2dim",
@@ -179,3 +194,113 @@ def test_commutator_bracket_matches_dense_formula(name):
     for i, j in itertools.product(range(A.dim), repeat=2):
         expected = vec_sub(A.mu.of_pair(i, j), vec_scale(A.eps(i, j), A.mu.of_pair(j, i)))
         assert bracket.of_pair(i, j) == expected
+
+
+# ---------------------------------------------------------------------------
+# the sparse sweeps against the dense reference of conftest
+
+constants = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-2, 3)])
+nonzero = st.sampled_from([F(1), F(-1), F(3), F(1, 2), F(-5, 3)])
+
+
+def _even_rows(draw, degs, entry):
+    n = len(degs)
+    return [[draw(entry) if degs[r] == degs[c] else F(0) for c in range(n)] for r in range(n)]
+
+
+@st.composite
+def transported_fixtures(draw):
+    """A Hom-Poisson fixture in a random even basis f_j = T e_j, so that T
+    maps it onto the fixture; the fixture's operators come along."""
+    doc = load_fixture(draw(st.sampled_from(
+        ["example3_corrected", "rb2dim_poisson", "diff4", "group_algebra_z2sq"])))
+    A = doc.algebra
+    n, degs = A.dim, A.basis.degrees
+    rows = [[draw(nonzero) if r == c else F(0) for c in range(n)] for r in range(n)]
+    same = [(a, b) for a in range(n) for b in range(n) if a != b and degs[a] == degs[b]]
+    if same:  # one off-diagonal entry keeps T invertible
+        a, b = draw(st.sampled_from(same))
+        rows[a][b] = draw(nonzero)
+    T = EvenLinearMap(A.basis, rows)
+    T_inv = T.inverse()
+
+    def moved(p):
+        return BilinearProduct(A.basis, tuple(
+            (i, j, k, c)
+            for i, j in itertools.product(range(n), repeat=2)
+            for k, c in enumerate(T_inv.apply(p.apply(T.column(i), T.column(j))))
+        ))
+
+    B = A.replace(mu=moved(A.mu), bracket=moved(A.bracket),
+                  alpha=T_inv.compose(A.alpha).compose(T))
+    return B, T, A, [T_inv.compose(m).compose(T) for m in doc.operators.values()]
+
+
+@st.composite
+def random_algebras(draw):
+    """Random constants over Z2 or Z2^2, with alpha[0][1] != 0."""
+    g = GroupSpec(draw(st.sampled_from([(2,), (2, 2)])))
+    n = draw(st.integers(2, 4))
+    degs = [draw(st.sampled_from(g.elements())) for _ in range(n)]
+    degs[1] = degs[0]
+    basis = GradedBasis(g, tuple(degs))
+
+    def product():
+        return BilinearProduct(basis, tuple(
+            (i, j, k, draw(constants))
+            for i, j, k in itertools.product(range(n), repeat=3)
+            if degs[k] == g.add(degs[i], degs[j])
+        ))
+
+    alpha = _even_rows(draw, degs, constants)
+    alpha[0][1] = draw(nonzero)
+    exponents = [[draw(st.integers(0, 1)) for _ in range(g.rank)] for _ in range(g.rank)]
+    A = GradedAlgebra(g, SignBicharacter(g, exponents), basis, product(), product(),
+                      EvenLinearMap(basis, alpha))
+    maps = [EvenLinearMap(basis, _even_rows(draw, degs, constants)) for _ in range(2)]
+    return A, maps[0], A, maps
+
+
+def _perturbed(draw, A):
+    """A with one constant of one product moved by a nonzero rational."""
+    name = draw(st.sampled_from(["mu", "bracket"]))
+    degs, g = A.basis.degrees, A.group
+    slots = [(i, j, k) for i, j, k in itertools.product(range(A.dim), repeat=3)
+             if degs[k] == g.add(degs[i], degs[j])]
+    if not slots:
+        return A
+    i, j, k = draw(st.sampled_from(slots))
+    p = getattr(A, name)
+    return A.replace(**{name: BilinearProduct(A.basis, p.entries + ((i, j, k, draw(nonzero)),))})
+
+
+def _plain(reports):
+    return [(r.axiom, [(v.indices, v.lhs, v.rhs) for v in r.violations]) for r in reports]
+
+
+@given(st.one_of(transported_fixtures(), random_algebras()), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sparse_sweeps_match_dense_reference(case, data):
+    base, f, target, maps = case
+    A = _perturbed(data.draw, base)
+    pairs = [
+        ([check_hom_associative(A)], ref_hom_associative(A)),
+        ([check_epsilon_commutative(A)], ref_epsilon_commutative(A)),
+        (check_hom_lie(A), ref_hom_lie(A)),
+        ([check_hom_leibniz(A)], ref_hom_leibniz(A)),
+        (check_hom_poisson(A, commutative=True),
+         ref_hom_associative(A) + ref_hom_lie(A) + ref_hom_leibniz(A)
+         + ref_epsilon_commutative(A)),
+        (check_morphism(f, A, target), ref_morphism(f, A, target)),
+    ]
+    power, weight = data.draw(st.integers(0, 2)), data.draw(constants)
+    for m in maps:
+        for kind, kw in (("centroid", {"power": power}), ("averaging", {"power": power}),
+                         ("rota-baxter", {"weight": weight}), ("nijenhuis", {})):
+            claim = OperatorClaim(m, kind, **kw)
+            pairs.append((check_operator(A, claim), ref_operator(A, claim)))
+    for got, want in pairs:
+        assert _plain(got) == want
+        for r in got:
+            for v in r.violations:
+                assert all(type(x) is F for x in v.lhs + v.rhs)
