@@ -4,26 +4,35 @@ Every construction gates its hypotheses first (raising HypothesisError
 with the offending reports), builds the new algebra, then re-certifies
 the output exhaustively.  Outputs always carry their certification
 reports; a construction never silently emits an unchecked algebra.
+
+Every product is built by one builder, `core._tabulated`: a construction
+states its new product pair by pair as a sparse vector, read off the old
+product and the maps through the sparse kernel (`_product`, `_mapped`,
+`_combined`, `_pair`), and `_rebuilt` tabulates it for each product the
+input carries.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 
 from .core import (
-    BilinearProduct,
+    ONE,
     EvenLinearMap,
-    GradedBasis,
     GradedAlgebra,
+    GradedBasis,
+    _combined,
+    _mapped,
+    _pair,
+    _product,
+    _tabulated,
     check_epsilon_commutative,
     check_hom_associative,
     check_hom_poisson,
     check_morphism,
-    components,
 )
 from .errors import HypothesisError, IncompatibilityError, ShapeError
-from .grading import delta_from_multiplier, twist_epsilon, validate_multiplier
-from .operators import OperatorClaim, check_operator
+from .grading import _rational, delta_from_multiplier, twist_epsilon, validate_multiplier
+from .operators import OperatorClaim, _deformed, check_operator
 from .report import all_ok
 
 
@@ -57,40 +66,21 @@ def _gate(reports, message):
         raise HypothesisError(message, bad)
 
 
-def _pulled(p, left=None, right=None, post=None, scale=1):
-    """Structure constants of (x, y) -> scale * post(p(left x, right y)),
-    read off the nonzero constants of p; None stands for the identity map.
-    The entries may repeat an (i, j, k) key: BilinearProduct sums them, so
-    concatenating two entry lists adds the two products."""
-    def support(rows):
-        # row a of a map as [(i, m[a][i])], nonzero entries only
-        return [[(i, c) for i, c in enumerate(row) if c] for row in rows]
-
-    ident = EvenLinearMap.identity(p.basis)
-    lft = support((ident if left is None else left).matrix)
-    rgt = support((ident if right is None else right).matrix)
-    pst = support(zip(*(ident if post is None else post).matrix))  # columns
-    return [
-        (i, j, l, scale * x * y * c * z)
-        for (a, b, k, c) in p.entries
-        for i, x in lft[a]
-        for j, y in rgt[b]
-        for l, z in pst[k]
-    ]
-
-
-def _rebuilt(P, entries, names=("mu", "bracket"), **replace):
-    """P with each named product p it carries rebuilt from entries(p)."""
+def _rebuilt(P, product, names=("mu", "bracket"), **replace):
+    """P with each named product p it carries replaced by the tabulation
+    of (i, j) -> product(p, i, j), on replace's basis if it names one."""
+    basis = replace.get("basis", P.basis)
     for name in names:
         p = getattr(P, name)
         if p is not None:
-            replace[name] = BilinearProduct(P.basis, tuple(entries(p)))
+            replace[name] = _tabulated(basis, partial(product, p))
     return P.replace(**replace)
 
 
-def _rescaled(p, s):
+def _rescaled(s, p, i, j):
+    """s(deg e_i, deg e_j) p(e_i, e_j)."""
     degs = p.basis.degrees
-    return [(i, j, k, s.value(degs[i], degs[j]) * c) for (i, j, k, c) in p.entries]
+    return _combined((s.value(degs[i], degs[j]), _pair(p, i, j)))
 
 
 def _operator_twist(P, b, kind, message, build, clause="morphism",
@@ -116,19 +106,15 @@ def xi_twist(A, xi):
     so the new product stays even."""
     if len(xi) != A.dim:
         raise ShapeError("xi has the wrong length")
-    xi = tuple(Fraction(c) for c in xi)
-    parts = components(A.basis, xi)
-    if any(d != A.group.zero for d in parts):
+    degs, zero = A.basis.degrees, A.group.zero
+    xi = {k: c for k, c in enumerate(_rational(c, "xi coordinates") for c in xi) if c}
+    if any(degs[k] != zero for k in xi):
         raise HypothesisError("xi must be homogeneous of degree 0", [])
-    ident = EvenLinearMap.identity(A.basis)
-    plain = A.replace(alpha=ident, bracket=None)
+    plain = A.replace(alpha=EvenLinearMap.identity(A.basis), bracket=None)
     _gate([check_hom_associative(plain)], "product is not plainly associative")
     _gate([check_hom_associative(A.replace(bracket=None))], "product is not Hom-associative")
-    # x *_xi y = (x xi) y: pull mu back along the right multiplication
-    # x -> x xi, whose column i is e_i xi
-    columns = [A.mu.apply(e, xi) for e in ident.matrix]
-    by_xi = EvenLinearMap(A.basis, tuple(zip(*columns)))
-    out = A.replace(mu=BilinearProduct(A.basis, tuple(_pulled(A.mu, left=by_xi))))
+    out = _rebuilt(A, lambda mu, i, j: _product(mu, _product(mu, {i: ONE}, xi), {j: ONE}),
+                   names=("mu",))
     return ConstructionResult(out, certification=[check_hom_associative(out.replace(bracket=None))])
 
 
@@ -137,7 +123,7 @@ def multiplier_twist_symmetric(P, s):
     multiplier; same commutation factor, same alpha."""
     _gate(validate_multiplier(s, symmetric=True), "multiplier fails the symmetric-twist gate")
     _gate(check_hom_poisson(P), "input is not a Hom-Poisson color algebra")
-    out = _rebuilt(P, partial(_rescaled, s=s))
+    out = _rebuilt(P, partial(_rescaled, s))
     return ConstructionResult(out, certification=check_hom_poisson(out))
 
 
@@ -154,7 +140,7 @@ def multiplier_twist_delta(P, s, endomorphisms=()):
         factor = P.epsilon  # sigma symmetric: keep the original representation
     else:
         factor = twist_epsilon(P.epsilon, delta)
-    out = _rebuilt(P, partial(_rescaled, s=s), epsilon=factor)
+    out = _rebuilt(P, partial(_rescaled, s), epsilon=factor)
     morphism = []
     for f in endomorphisms:
         _gate(check_morphism(f, P, P), "map is not an endomorphism of the input")
@@ -166,8 +152,8 @@ def transport_along_bijection(Pp, f):
     """Pull the structure of Pp back along an invertible even map:
     x . y = f^-1(f(x) .' f(y)), likewise for the bracket, and
     alpha = f^-1 alpha' f.  f becomes a morphism onto Pp."""
-    finv = f.inverse()
-    out = _rebuilt(Pp, partial(_pulled, left=f, right=f, post=finv),
+    finv, fc = f.inverse(), f._columns
+    out = _rebuilt(Pp, lambda p, i, j: _mapped(finv, _product(p, fc[i], fc[j])),
                    alpha=finv.compose(Pp.alpha).compose(f))
     return ConstructionResult(
         out,
@@ -181,9 +167,10 @@ def centroid_twist(P, b):
     centroid element beta (k = 0).  The source theorem's proof is absent,
     so the re-certification verdict and the morphism claim are recorded
     as findings rather than assumed."""
+    bc = b._columns
     return _operator_twist(
         P, b, "centroid", "map is not a centroid element",
-        lambda: _rebuilt(P, partial(_pulled, left=b), names=("bracket",)),
+        lambda: _rebuilt(P, lambda p, i, j: _product(p, bc[i], {j: ONE}), names=("bracket",)),
         clause="findings", power=0,
     )
 
@@ -191,9 +178,10 @@ def centroid_twist(P, b):
 def averaging_twist_pairwise(P, b):
     """x * y = beta(x) . beta(y), {x, y} = [beta(x), beta(y)] for an
     averaging operator beta (k = 0); same alpha."""
+    bc = b._columns
     return _operator_twist(
         P, b, "averaging", "map is not an averaging operator",
-        lambda: _rebuilt(P, partial(_pulled, left=b, right=b)),
+        lambda: _rebuilt(P, lambda p, i, j: _product(p, bc[i], bc[j])),
         clause=None, power=0,
     )
 
@@ -208,9 +196,10 @@ def averaging_twist_untwisted(P, b):
     verdict is the evidence rather than an assumed property."""
     if not P.alpha.is_identity:
         raise HypothesisError("this construction starts from an untwisted algebra (alpha = id)", [])
+    bc = b._columns
     return _operator_twist(
         P, b, "averaging", "map is not an averaging operator",
-        lambda: _rebuilt(P, partial(_pulled, left=b), alpha=b),
+        lambda: _rebuilt(P, lambda p, i, j: _product(p, bc[i], {j: ONE}), alpha=b),
         clause=None, poisson="input is not a Poisson color algebra", power=0,
     )
 
@@ -220,10 +209,14 @@ def averaging_twist_power(P, b, k):
     bijective alpha^k-averaging operator beta; same alpha.  beta is a
     morphism from the twist onto the input."""
     b.inverse()  # raises SingularMapError when not bijective
+    bc = b._columns
+
+    def build():
+        ak = P.alpha.power(k)._columns
+        return _rebuilt(P, lambda p, i, j: _product(p, bc[i], ak[j]))
+
     return _operator_twist(
-        P, b, "averaging", f"map is not an alpha^{k}-averaging operator",
-        lambda: _rebuilt(P, partial(_pulled, left=b, right=P.alpha.power(k))),
-        power=k,
+        P, b, "averaging", f"map is not an alpha^{k}-averaging operator", build, power=k,
     )
 
 
@@ -231,24 +224,22 @@ def nijenhuis_twist(P, N):
     """Deformed products x .N y = N(x).y + x.N(y) - N(x.y), and the same
     shape for the bracket; same alpha and commutation factor.  N is a
     morphism from the twist onto the input."""
-    def deform(p):
-        return _pulled(p, left=N) + _pulled(p, right=N) + _pulled(p, post=N, scale=-1)
-
-    return _operator_twist(P, N, "nijenhuis", "map is not a Nijenhuis operator",
-                           lambda: _rebuilt(P, deform))
+    return _operator_twist(
+        P, N, "nijenhuis", "map is not a Nijenhuis operator",
+        lambda: _rebuilt(P, lambda p, i, j: _deformed(p, N, i, j, (-ONE, _mapped(N, _pair(p, i, j))))),
+    )
 
 
 def rota_baxter_twist(P, R, weight):
     """x * y = R(x).y + x.R(y) + weight * x.y, likewise for the bracket,
     for a Rota-Baxter operator R of that weight; same alpha.  R is a
     morphism from the twist onto the input."""
-    weight = Fraction(weight)
-
-    def deform(p):
-        return _pulled(p, left=R) + _pulled(p, right=R) + _pulled(p, scale=weight)
-
-    return _operator_twist(P, R, "rota-baxter", "map is not a Rota-Baxter operator of this weight",
-                           lambda: _rebuilt(P, deform), weight=weight)
+    weight = _rational(weight, "weight")
+    return _operator_twist(
+        P, R, "rota-baxter", "map is not a Rota-Baxter operator of this weight",
+        lambda: _rebuilt(P, lambda p, i, j: _deformed(p, R, i, j, (weight, _pair(p, i, j)))),
+        weight=weight,
+    )
 
 
 def tensor_with_commutative(A, P):
@@ -273,10 +264,6 @@ def tensor_with_commutative(A, P):
         for p in range(dP)
     )
     basis = GradedBasis(g, degrees)
-
-    def idx(i, p):
-        return i * dP + p
-
     alpha_rows = tuple(
         tuple(A.alpha.matrix[k][i] * P.alpha.matrix[r][p] for i in range(dA) for p in range(dP))
         for k in range(dA)
@@ -284,25 +271,15 @@ def tensor_with_commutative(A, P):
     )
     alpha = EvenLinearMap(basis, alpha_rows)
 
-    def build(p_prod):
-        entries = []
-        for (i, j, k, cA) in A.mu.entries:
-            sign_deg_b = A.basis.degrees[j]
-            for (pp, q, r, cP) in p_prod.entries:
-                sign = P.epsilon.value(P.basis.degrees[pp], sign_deg_b)
-                c = sign * cA * cP
-                if c != 0:
-                    entries.append((idx(i, pp), idx(j, q), idx(k, r), c))
-        return BilinearProduct(basis, tuple(entries))
+    def tensor(q, u, v):
+        # (a_i x_p)(a_j x_r) = eps(deg x_p, deg a_j) (a_i a_j) (x) (x_p x_r)
+        (i, p), (j, r) = divmod(u, dP), divmod(v, dP)
+        sign = P.epsilon.value(P.basis.degrees[p], A.basis.degrees[j])
+        return {k * dP + l: sign * cA * cP
+                for k, cA in _pair(A.mu, i, j).items()
+                for l, cP in _pair(q, p, r).items()}
 
-    out = GradedAlgebra(
-        group=g,
-        epsilon=P.epsilon,
-        basis=basis,
-        mu=build(P.mu),
-        bracket=build(P.bracket),
-        alpha=alpha,
-    )
+    out = _rebuilt(P, tensor, basis=basis, alpha=alpha)
     return ConstructionResult(out, certification=check_hom_poisson(out))
 
 

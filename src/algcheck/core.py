@@ -27,6 +27,7 @@ from .errors import (
     ShapeError,
     SingularMapError,
 )
+from .grading import _rational
 from .report import AxiomReport
 
 ZERO = Fraction(0)
@@ -86,7 +87,7 @@ class EvenLinearMap:
 
     def __post_init__(self):
         n = self.basis.dim
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
+        rows = tuple(tuple(_rational(x, "map entries") for x in row) for row in self.matrix)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ShapeError(f"matrix must be {n}x{n}")
         degs = self.basis.degrees
@@ -113,7 +114,7 @@ class EvenLinearMap:
     @classmethod
     def diagonal(cls, basis, entries):
         n = basis.dim
-        entries = [Fraction(e) for e in entries]
+        entries = [_rational(e, "diagonal entries") for e in entries]
         if len(entries) != n:
             raise ShapeError("diagonal length mismatch")
         return cls(basis, tuple(tuple(entries[i] if i == j else ZERO for j in range(n)) for i in range(n)))
@@ -192,7 +193,7 @@ class BilinearProduct:
         n = self.basis.dim
         merged = {}
         for (i, j, k, c) in self.entries:
-            c = Fraction(c)
+            c = _rational(c, "structure constants")
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise ShapeError(f"structure constant index out of range: {(i, j, k)}")
             merged[(i, j, k)] = merged.get((i, j, k), ZERO) + c
@@ -348,6 +349,12 @@ def _dense(v, n):
     return tuple(v.get(k, ZERO) for k in range(n))
 
 
+def _tabulated(basis, product):
+    """The BilinearProduct whose e_i e_j is the sparse vector product(i, j)."""
+    pairs = itertools.product(range(basis.dim), repeat=2)
+    return BilinearProduct(basis, tuple((i, j, k, c) for i, j in pairs for k, c in product(i, j).items()))
+
+
 # ---------------------------------------------------------------------------
 # per-basis-tuple residuals (structure-constant composition path)
 
@@ -454,10 +461,9 @@ def commutator_bracket(A):
     gate = check_hom_associative(A)
     if not gate.ok:
         raise HypothesisError("commutator bracket requires a Hom-associative product", [gate])
-    # e_i e_j = c e_k adds c to [e_i, e_j] and -eps(j, i) c to [e_j, e_i];
-    # BilinearProduct sums the two contributions per (i, j, k)
-    opposite = [(j, i, k, -A.eps(j, i) * c) for (i, j, k, c) in A.mu.entries]
-    return A.replace(bracket=BilinearProduct(A.basis, A.mu.entries + tuple(opposite)))
+    mu = A.mu
+    return A.replace(bracket=_tabulated(A.basis, lambda i, j: _combined(
+        (ONE, _pair(mu, i, j)), (-A.eps(i, j), _pair(mu, j, i)))))
 
 
 def check_morphism(f, src, dst):

@@ -30,6 +30,15 @@ def _integers(values, what):
     return values
 
 
+def _rational(x, what):
+    """x as a Fraction; x must be an int, and not a bool, or a Fraction."""
+    if type(x) is Fraction:
+        return x  # immutable: no copy needed
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise InvalidRepresentationError(f"{what} must be integers or Fractions, got {x!r}")
+    return Fraction(x)
+
+
 def group_order_bound():
     raw = os.environ.get("ALGCHECK_GROUP_BOUND", DEFAULT_GROUP_BOUND)
     try:
@@ -73,7 +82,7 @@ class GroupSpec:
     def reduce(self, coords):
         if len(coords) != self.rank:
             raise ShapeError(f"expected {self.rank} coordinates, got {len(coords)}")
-        return tuple(int(c) % m for c, m in zip(coords, self.moduli))
+        return tuple(c % m for c, m in zip(_integers(coords, "group coordinates"), self.moduli))
 
     def is_canonical(self, coords):
         return len(coords) == self.rank and all(
@@ -146,7 +155,7 @@ class MultiplierTable:
 
     def __post_init__(self):
         n = self.group.order
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.values)
+        rows = tuple(tuple(_rational(x, "multiplier entries") for x in row) for row in self.values)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ShapeError(f"multiplier table must be {n}x{n}")
         for row in rows:
@@ -162,7 +171,7 @@ class MultiplierTable:
 
     @classmethod
     def constant(cls, group, c):
-        c = Fraction(c)
+        c = _rational(c, "multiplier constant")
         return cls.from_function(group, lambda a, b: c)
 
     def value(self, a, b):

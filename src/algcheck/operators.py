@@ -8,7 +8,6 @@ returning the full list of violations.
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     ONE,
@@ -28,6 +27,7 @@ from .errors import (
     SearchSpaceError,
     ShapeError,
 )
+from .grading import _rational
 from .report import AxiomReport, all_ok
 
 KINDS = ("centroid", "averaging", "rota-baxter", "nijenhuis")
@@ -50,12 +50,19 @@ class OperatorClaim:
         if self.kind == "rota-baxter":
             if self.weight is None:
                 raise InvalidRepresentationError("rota-baxter claims need a weight")
-            object.__setattr__(self, "weight", Fraction(self.weight))
+            object.__setattr__(self, "weight", _rational(self.weight, "weight"))
         if self.kind in ("centroid", "averaging"):
             if not (0 <= self.power <= MAX_POWER):
                 raise InvalidRepresentationError(
                     f"power must lie in [0, {MAX_POWER}], got {self.power}"
                 )
+
+
+def _deformed(p, b, i, j, last):
+    """p(b e_i, e_j) + p(e_i, b e_j) + c v, for last = (c, v)."""
+    bc = b._columns
+    return _combined((ONE, _product(p, bc[i], {j: ONE})),
+                     (ONE, _product(p, {i: ONE}, bc[j])), last)
 
 
 def check_operator(A, claim, products="all"):
@@ -107,9 +114,7 @@ def check_operator(A, claim, products="all"):
                 pij = _pair(p, i, j)
                 last = ((claim.weight, pij) if claim.kind == "rota-baxter"
                         else (-ONE, _mapped(b, pij)))
-                inner = _combined((ONE, _product(p, bi, {j: ONE})),
-                                  (ONE, _product(p, {i: ONE}, bj)), last)
-                record(label, (i, j), _product(p, bi, bj), _mapped(b, inner))
+                record(label, (i, j), _product(p, bi, bj), _mapped(b, _deformed(p, b, i, j, last)))
     return [alpha] + [r.finish() for r in reports.values()]
 
 
@@ -128,7 +133,7 @@ def search_diagonal_operators(A, kind, candidate_values, power=0, weight=None):
     return those passing check_operator, in deterministic order."""
     if A.dim > MAX_SEARCH_DIM:
         raise SearchSpaceError(f"search limited to dimension {MAX_SEARCH_DIM}, got {A.dim}")
-    candidates = sorted({Fraction(c) for c in candidate_values})
+    candidates = sorted({_rational(c, "candidate values") for c in candidate_values})
     size = len(candidates) ** A.dim
     if size > MAX_SEARCH_SIZE:
         raise SearchSpaceError(

@@ -10,7 +10,10 @@ from algcheck import (
     GradedBasis,
     GroupSpec,
     HypothesisError,
+    InvalidRepresentationError,
     MissingComponentError,
+    MultiplierTable,
+    OperatorClaim,
     ShapeError,
     SignBicharacter,
     SingularMapError,
@@ -22,9 +25,12 @@ from algcheck import (
     check_hom_poisson,
     check_morphism,
     commutator_bracket,
+    rota_baxter_twist,
+    search_diagonal_operators,
+    xi_twist,
 )
 
-from conftest import three_dim
+from conftest import load_fixture, three_dim
 
 
 def test_apply_product_examples(example3):
@@ -190,3 +196,37 @@ class TestMorphism:
 
     def test_alpha_is_endomorphism_of_example3(self, example3):
         assert all_ok(check_morphism(example3.alpha, example3, example3))
+
+
+# every library entry point that takes a rational, fed x
+EXACT_SITES = {
+    "map-matrix": lambda A, x: EvenLinearMap(A.basis, ((x, 0, 0), (0, 1, 0), (0, 0, 1))),
+    "map-diagonal": lambda A, x: EvenLinearMap.diagonal(A.basis, (1, x, 1)),
+    "structure-constant": lambda A, x: BilinearProduct(A.basis, ((0, 0, 0, x),)),
+    "multiplier-entry": lambda A, x: MultiplierTable(A.group, ((x, 1), (1, 1))),
+    "multiplier-constant": lambda A, x: MultiplierTable.constant(A.group, x),
+    "claim-weight": lambda A, x: OperatorClaim(EvenLinearMap.identity(A.basis), "rota-baxter",
+                                               weight=x),
+    "search-candidate": lambda A, x: search_diagonal_operators(A, "averaging", [1, x]),
+    "xi": lambda A, x: xi_twist(load_fixture("group_algebra_z2").algebra, (x, 0)),
+    # the zero map is a Rota-Baxter operator of every weight
+    "rota-baxter-weight": lambda A, x: rota_baxter_twist(A, EvenLinearMap.scalar(A.basis, 0), x),
+}
+
+
+class TestExactInputs:
+    @pytest.mark.parametrize("site", EXACT_SITES)
+    @pytest.mark.parametrize("value", [0.1, 1.0, True, "1/3", None])
+    def test_inexact_value_refused(self, example3, site, value):
+        with pytest.raises(InvalidRepresentationError):
+            EXACT_SITES[site](example3, value)
+
+    @pytest.mark.parametrize("site", EXACT_SITES)
+    @pytest.mark.parametrize("value", [2, F(1, 2)], ids=["int", "Fraction"])
+    def test_int_and_fraction_accepted(self, example3, site, value):
+        EXACT_SITES[site](example3, value)
+
+    def test_diagonal_keeps_exact_values(self, example3):
+        m = EvenLinearMap.diagonal(example3.basis, (2, F(1, 3), 1))
+        assert m.matrix[0][0] == 2 and m.matrix[1][1] == F(1, 3)
+        assert all(type(c) is F for row in m.matrix for c in row)

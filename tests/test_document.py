@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from fractions import Fraction as F
 
@@ -149,3 +150,17 @@ class TestOptionalSections:
         again = parse_document(text)
         assert again.algebra.epsilon.value((1,), (1,)) == -1
         assert serialize_document(again) == text
+
+
+def test_generator_reproduces_fixtures(tmp_path, monkeypatch):
+    # scripts/make_fixtures.py must rebuild fixtures/ byte for byte
+    path = FIXTURES.parent / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    monkeypatch.setattr(generator, "OUT", tmp_path)
+    generator.main()
+    made = sorted(p.name for p in tmp_path.glob("*.json"))
+    assert made == sorted(p.name for p in FIXTURES.glob("*.json"))
+    for name in made:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name

@@ -31,11 +31,6 @@ class TestClaimValidation:
         with pytest.raises(InvalidRepresentationError):
             OperatorClaim(EvenLinearMap.identity(rb2dim.basis), "rota-baxter")
 
-    def test_weight_accepts_strings(self, rb2dim):
-        c = OperatorClaim(EvenLinearMap.identity(rb2dim.basis), "rota-baxter",
-                          weight="1/2")
-        assert c.weight == F(1, 2)
-
     def test_power_bounds(self, rb2dim):
         m = EvenLinearMap.identity(rb2dim.basis)
         with pytest.raises(InvalidRepresentationError):

@@ -10,10 +10,16 @@ from algcheck import (
     GradedAlgebra,
     GradedBasis,
     GroupSpec,
+    HypothesisError,
     MultiplierTable,
     OperatorClaim,
     SignBicharacter,
+    SingularMapError,
     all_ok,
+    averaging_twist_pairwise,
+    averaging_twist_power,
+    averaging_twist_untwisted,
+    centroid_twist,
     check_epsilon_commutative,
     check_hom_associative,
     check_hom_leibniz,
@@ -22,10 +28,14 @@ from algcheck import (
     check_morphism,
     check_operator,
     commutator_bracket,
+    nijenhuis_twist,
+    rota_baxter_twist,
+    tensor_with_commutative,
+    transport_along_bijection,
     validate_bicharacter,
     validate_multiplier,
+    xi_twist,
 )
-from algcheck.constructions import _pulled
 from algcheck.core import (
     residual_direct,
     residual_from_basis,
@@ -160,33 +170,6 @@ def test_operator_verdicts_are_permutation_invariant(perm, diag):
         assert va == vb
 
 
-@given(st.sampled_from(HOM_ASSOCIATIVE_FIXTURES), st.data())
-@settings(max_examples=60, deadline=None)
-def test_pulled_builder_matches_dense_formula(name, data):
-    # the sparse builder against its definition
-    # (x, y) -> scale * post(p(left x, right y)), None being the identity
-    A = load_fixture(name).algebra
-    n, degs = A.dim, A.basis.degrees
-    small = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(-1, 3)])
-
-    def even_map():
-        if data.draw(st.booleans()):
-            return None
-        return EvenLinearMap(A.basis, tuple(
-            tuple(data.draw(small) if degs[r] == degs[c] else F(0) for c in range(n))
-            for r in range(n)
-        ))
-
-    p = data.draw(st.sampled_from([q for q in (A.mu, A.bracket) if q is not None]))
-    left, right, post, scale = even_map(), even_map(), even_map(), data.draw(small)
-    built = BilinearProduct(A.basis, tuple(_pulled(p, left, right, post, scale)))
-    ident = EvenLinearMap.identity(A.basis)
-    L, M, P = (ident if m is None else m for m in (left, right, post))
-    for i, j in itertools.product(range(n), repeat=2):
-        expected = vec_scale(scale, P.apply(p.apply(L.column(i), M.column(j))))
-        assert built.of_pair(i, j) == expected
-
-
 @pytest.mark.parametrize("name", HOM_ASSOCIATIVE_FIXTURES)
 def test_commutator_bracket_matches_dense_formula(name):
     A = load_fixture(name).algebra
@@ -304,3 +287,98 @@ def test_sparse_sweeps_match_dense_reference(case, data):
         for r in got:
             for v in r.violations:
                 assert all(type(x) is F for x in v.lhs + v.rhs)
+
+
+# ---------------------------------------------------------------------------
+# the constructions against their dense definitions, written with the
+# public apply and column only
+
+def _assert_rebuilt(out, src, names, formula):
+    """Each product of src named in `names` is rebuilt in out as
+    e_i e_j = formula(p, i, j); the others are kept."""
+    for name in ("mu", "bracket"):
+        p, q = getattr(src, name), getattr(out, name)
+        if name not in names:
+            assert q == p
+            continue
+        for i, j in itertools.product(range(src.dim), repeat=2):
+            assert q.of_pair(i, j) == formula(p, i, j), (name, i, j)
+
+
+@given(transported_fixtures(), st.integers(0, 2),
+       st.sampled_from([F(1), F(-1), F(1, 2), F(-2), F(1, 3)]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_constructions_match_dense_definitions(case, k, weight, data):
+    # B is a fixture in a random even basis and T maps it onto the fixture
+    # A; each operator twist runs for each carried operator whose gates it
+    # passes, and the transport along T must give back B's products
+    B, T, A, maps = case
+    e = EvenLinearMap.identity(B.basis).column
+    ak = B.alpha.power(k)
+    both = ("mu", "bracket")
+    for b in maps:
+        def deformed(p, i, j, last):
+            return vec_add(p.apply(b.column(i), e(j)), p.apply(e(i), b.column(j)), last)
+
+        twists = [
+            (lambda: centroid_twist(B, b), ("bracket",),
+             lambda p, i, j: p.apply(b.column(i), e(j))),
+            (lambda: averaging_twist_pairwise(B, b), both,
+             lambda p, i, j: p.apply(b.column(i), b.column(j))),
+            (lambda: averaging_twist_untwisted(B, b), both,
+             lambda p, i, j: p.apply(b.column(i), e(j))),
+            (lambda: averaging_twist_power(B, b, k), both,
+             lambda p, i, j: p.apply(b.column(i), ak.column(j))),
+            (lambda: nijenhuis_twist(B, b), both, lambda p, i, j: deformed(
+                p, i, j, vec_scale(F(-1), b.apply(p.apply(e(i), e(j)))))),
+            (lambda: rota_baxter_twist(B, b, weight), both, lambda p, i, j: deformed(
+                p, i, j, vec_scale(weight, p.apply(e(i), e(j))))),
+        ]
+        for run, names, formula in twists:
+            try:
+                out = run().algebra
+            except (HypothesisError, SingularMapError):
+                continue
+            _assert_rebuilt(out, B, names, formula)
+
+    zero, degs = B.group.zero, B.basis.degrees
+    xi = tuple(data.draw(constants) if d == zero else F(0) for d in degs)
+    try:
+        out = xi_twist(B, xi).algebra
+    except HypothesisError:
+        pass
+    else:
+        _assert_rebuilt(out, B, ("mu",), lambda p, i, j: p.apply(p.apply(e(i), xi), e(j)))
+
+    T_inv = T.inverse()
+    out = transport_along_bijection(A, T).algebra
+    _assert_rebuilt(out, A, both,
+                    lambda p, i, j: T_inv.apply(p.apply(T.column(i), T.column(j))))
+
+
+def _exterior_line():
+    """K[xi]/(xi^2) with xi odd: supercommutative, so the tensor signs
+    eps(deg x_p, deg a_j) = -1 show up."""
+    g = GroupSpec((2,))
+    basis = GradedBasis(g, ((0,), (1,)))
+    mu = BilinearProduct(basis, ((0, 0, 0, F(1)), (0, 1, 1, F(1)), (1, 0, 1, F(1))))
+    return GradedAlgebra(g, SignBicharacter(g, ((1,),)), basis, mu, None,
+                         EvenLinearMap.identity(basis))
+
+
+@pytest.mark.parametrize("left", ["comm2", "exterior"])
+@pytest.mark.parametrize("right", ["example3_corrected", "rb2dim_poisson"])
+def test_tensor_product_matches_dense_formula(left, right):
+    A = _exterior_line() if left == "exterior" else load_fixture(left).algebra
+    P = load_fixture(right).algebra
+    T = tensor_with_commutative(A, P).algebra
+    eA = EvenLinearMap.identity(A.basis).column
+    eP = EvenLinearMap.identity(P.basis).column
+    pairs = list(itertools.product(range(A.dim), range(P.dim)))
+    for name in ("mu", "bracket"):
+        q, t = getattr(P, name), getattr(T, name)
+        for (u, (i, p)), (v, (j, r)) in itertools.product(enumerate(pairs), repeat=2):
+            # (a_i x_p)(a_j x_r) = eps(deg x_p, deg a_j) (a_i a_j) (x) (x_p x_r)
+            sign = P.epsilon.value(P.basis.degrees[p], A.basis.degrees[j])
+            a, x = A.mu.apply(eA(i), eA(j)), q.apply(eP(p), eP(r))
+            assert t.of_pair(u, v) == tuple(sign * c * d for c in a for d in x), (name, u, v)
