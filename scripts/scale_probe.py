@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Time the group laws on Z_2^r as the grading group grows.
+
+Run from the repository root:  python3 scripts/scale_probe.py [ORDER ...]
+
+For each group order (default 16, 32, 64 and 256) it prints the seconds
+`validate_bicharacter` takes on the identity exponent matrix and the
+seconds `validate_multiplier(symmetric=True)` takes on the symmetric
+multiplier s(x, y) = (-1)^(x . y) / 3, both in process.  It then prints
+the end-to-end seconds of `algcheck validate` on a dim-1 document with a
+sign bicharacter over Z_2^8, run in a fresh interpreter the way the
+console script runs it.  Every verdict must be PASS.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+import time
+from fractions import Fraction as F
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from algcheck import (  # noqa: E402
+    AlgebraDocument,
+    BilinearProduct,
+    EvenLinearMap,
+    GradedAlgebra,
+    GradedBasis,
+    GroupSpec,
+    MultiplierTable,
+    SignBicharacter,
+    all_ok,
+    serialize_document,
+    validate_bicharacter,
+    validate_multiplier,
+)
+
+ORDERS = (16, 32, 64, 256)
+
+
+def _timed(fn, *args, **kwargs):
+    start = time.perf_counter()
+    reports = fn(*args, **kwargs)
+    elapsed = time.perf_counter() - start
+    if not all_ok(reports):
+        raise AssertionError(f"{fn.__name__} failed on a passing input")
+    return elapsed
+
+
+def sweep_seconds(order):
+    """(validate_bicharacter, validate_multiplier(symmetric=True)) seconds
+    on Z_2^r with 2^r = order."""
+    rank = order.bit_length() - 1
+    if order != 1 << rank:
+        raise ValueError(f"order {order} is not a power of 2")
+    g = GroupSpec((2,) * rank)
+    e = SignBicharacter(g, tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
+    s = MultiplierTable.from_function(
+        g, lambda x, y: F(-1) ** sum(a * b for a, b in zip(x, y)) / 3)
+    return _timed(validate_bicharacter, e), _timed(validate_multiplier, s, symmetric=True)
+
+
+def line_document(rank):
+    """A dim-1 algebra in degree 0 over Z_2^rank with the identity exponent
+    matrix: the unital line e e = e, alpha = id."""
+    g = GroupSpec((2,) * rank)
+    basis = GradedBasis(g, (g.zero,))
+    eps = SignBicharacter(g, tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
+    alg = GradedAlgebra(g, eps, basis, BilinearProduct(basis, ((0, 0, 0, 1),)), None,
+                        EvenLinearMap.identity(basis))
+    return serialize_document(AlgebraDocument(name=f"line-z2^{rank}", algebra=alg))
+
+
+def cli_validate_seconds(rank=8):
+    """Wall seconds of `algcheck validate` on line_document(rank)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "line.json"
+        path.write_text(line_document(rank), encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        cmd = [sys.executable, "-c", "from algcheck.cli import entry; entry()", "validate", str(path)]
+        start = time.perf_counter()
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        elapsed = time.perf_counter() - start
+    if done.returncode != 0:
+        raise AssertionError(f"validate exited {done.returncode}: {done.stdout}{done.stderr}")
+    return elapsed
+
+
+def main(argv=None):
+    orders = [int(a) for a in (sys.argv[1:] if argv is None else argv)] or ORDERS
+    print("| |G| | validate_bicharacter | validate_multiplier(symmetric=True) |")
+    print("|---|---|---|")
+    for order in orders:
+        bich, mult = sweep_seconds(order)
+        print(f"| {order} | {bich:.4f} s | {mult:.3f} s |")
+    print(f"CLI validate, dim 1, sign bicharacter over Z_2^8: {cli_validate_seconds(8):.3f} s")
+
+
+if __name__ == "__main__":
+    main()

@@ -135,8 +135,7 @@ def multiplier_twist_delta(P, s, endomorphisms=()):
     _gate(validate_multiplier(s), "multiplier fails the cocycle gate")
     _gate(check_hom_poisson(P), "input is not a Hom-Poisson color algebra")
     delta = delta_from_multiplier(s)
-    els = P.group.elements()
-    if all(delta.value(a, b) == 1 for a in els for b in els):
+    if all(v == 1 for row in delta.values for v in row):
         factor = P.epsilon  # sigma symmetric: keep the original representation
     else:
         factor = twist_epsilon(P.epsilon, delta)
@@ -286,7 +285,4 @@ def tensor_with_commutative(A, P):
 def _factors_equal(e1, e2):
     if type(e1) is type(e2) and e1 == e2:
         return True
-    if e1.group != e2.group:
-        return False
-    els = e1.group.elements()
-    return all(e1.value(a, b) == e2.value(a, b) for a in els for b in els)
+    return e1.group == e2.group and e1._table() == e2._table()

@@ -194,6 +194,8 @@ class BilinearProduct:
         merged = {}
         for (i, j, k, c) in self.entries:
             c = _rational(c, "structure constants")
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j, k)):
+                raise ShapeError(f"structure constant indices must be integers: {(i, j, k)}")
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise ShapeError(f"structure constant index out of range: {(i, j, k)}")
             merged[(i, j, k)] = merged.get((i, j, k), ZERO) + c

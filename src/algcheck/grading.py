@@ -6,9 +6,23 @@ bicharacters take values in {+1, -1} and are stored as a mod-2 exponent
 matrix E with eps(a, b) = (-1)^(a^T E b).  Multipliers (2-cocycles on the
 group) and general commutation factors are stored as full |G| x |G|
 tables of nonzero rationals in the canonical lexicographic element order.
+
+The group laws run on element indices, not coordinate tuples.  A group
+caches its element list and its addition table (index of a + b, for the
+indices of a and b) on first use, and every commutation factor exposes
+one value table indexed the same way (`_table()`).  A law is swept one
+row at a time: for fixed indices (x, y), the values over every z are
+built as lists and compared at once, and only a row that disagrees is
+scanned for the z that fail.  Index order is lexicographic element
+order, so violations come out in the order the tuple loops gave them,
+mapped back to element tuples and to the table's own Fraction values.
+A sign bicharacter needs no sweep but the skew-symmetry pairs (see
+`validate_bicharacter`); multiplier laws compare integers (see
+`validate_multiplier`).
 """
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +34,6 @@ DEFAULT_GROUP_BOUND = 256
 
 ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
-
 
 def _integers(values, what):
     """values as a tuple; every value must be an int, and not a bool."""
@@ -51,9 +64,14 @@ def group_order_bound():
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A finite abelian group given as a product of cyclic factors."""
+    """A finite abelian group given as a product of cyclic factors.
+
+    The element list and the addition table on element indices are built
+    on first use and cached; they take no part in equality, hash or repr."""
 
     moduli: tuple
+    _elements: tuple = field(init=False, default=None, compare=False, repr=False)
+    _sums: tuple = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "moduli", _integers(self.moduli, "cyclic factor sizes"))
@@ -96,13 +114,48 @@ class GroupSpec:
 
     def elements(self):
         """All elements in canonical (lexicographic) order."""
-        return [tuple(t) for t in itertools.product(*[range(m) for m in self.moduli])]
+        return list(self._els())
 
     def index(self, a):
         i = 0
         for c, m in zip(a, self.moduli):
             i = i * m + c
         return i
+
+    def _els(self):
+        """The cached element tuple: element i is the one with index(a) == i."""
+        if self._elements is None:
+            object.__setattr__(self, "_elements", tuple(itertools.product(*map(range, self.moduli))))
+        return self._elements
+
+    def _sum_table(self):
+        """The cached addition table: row i, column j is the index of
+        element i + element j.  Built one cyclic factor at a time: with
+        G = H x Z_m, (h, c) has index h*m + c and (h, c) + (h', c') is
+        (h + h', (c + c') mod m)."""
+        if self._sums is None:
+            sums = ((0,),)
+            for m in self.moduli:
+                cyclic = [[(c + d) % m for d in range(m)] for c in range(m)]
+                sums = tuple(tuple(s * m + t for s in row for t in cyclic[c])
+                             for row in sums for c in range(m))
+            object.__setattr__(self, "_sums", sums)
+        return self._sums
+
+
+def _forms(group, matrix):
+    """For each element a, in index order: the bitmask of the parities of
+    its coordinates and the bitmask of a^T M mod 2 (M a 0/1 matrix)."""
+    rows = [sum(1 << j for j, x in enumerate(row) if x) for row in matrix]
+    out = []
+    for a in group._els():
+        bits = form = 0
+        for i, c in enumerate(a):
+            if c & 1:
+                bits |= 1 << i
+                form ^= rows[i]
+        out.append((bits, form))
+    return out
 
 
 @dataclass(frozen=True)
@@ -111,6 +164,7 @@ class SignBicharacter:
 
     group: GroupSpec
     matrix: tuple
+    _values: tuple = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         r = self.group.rank
@@ -140,6 +194,17 @@ class SignBicharacter:
 
     def value(self, a, b):
         return MINUS_ONE if self.exponent(a, b) else ONE
+
+    def _table(self):
+        """The cached value table: row i, column j is value(element i,
+        element j), read off the parity of (a^T E) & b."""
+        if self._values is None:
+            forms = _forms(self.group, self.matrix)
+            object.__setattr__(self, "_values", tuple(
+                tuple(MINUS_ONE if (form & bits).bit_count() & 1 else ONE for bits, _ in forms)
+                for _, form in forms
+            ))
+        return self._values
 
 
 @dataclass(frozen=True)
@@ -177,94 +242,154 @@ class MultiplierTable:
     def value(self, a, b):
         return self.values[self.group.index(a)][self.group.index(b)]
 
+    def _table(self):
+        """The value table on element indices: the stored rows."""
+        return self.values
+
+
+def _row_sweep(label, n, sides, exact):
+    """The report for `label` over every index triple (x, y, z).  sides(x, y)
+    gives lists over z that must all equal the first; at each z where one
+    does not, exact(x, y, z) gives the recorded (indices, lhs, rhs)."""
+    rep = AxiomReport(label)
+    for x in range(n):
+        for y in range(n):
+            first, *rest = sides(x, y)
+            if any(r != first for r in rest):
+                for z in range(n):
+                    if any(r[z] != first[z] for r in rest):
+                        rep.record(*exact(x, y, z))
+    return rep.finish()
+
 
 def validate_bicharacter(e):
-    """Exhaustive check of the bicharacter laws for a SignBicharacter.
+    """The bicharacter laws for a SignBicharacter, in closed form.
 
     Raises InvalidRepresentationError before enumerating if the exponent
-    matrix is not well defined on the group."""
+    matrix is not well defined on the group.  Otherwise only skew-symmetry
+    can fail, and it is checked on the |G|^2 pairs; the other four laws
+    are returned as empty reports without a sweep.  Proof: when every row
+    and column of E at an odd modulus vanishes mod 2, a^T E b mod 2 only
+    reads a_i and b_j at even moduli m_i, m_j, and there (a + b)_i =
+    (a_i + b_i) mod m_i has the parity of a_i + b_i.  So the exponent is
+    additive in each argument mod 2 and eps is additive on both sides;
+    the exponent of (0, b) and (a, 0) is 0, so eps is 1 at the identity;
+    and every value is +-1, so the diagonal sign law holds.  Finally
+    eps(a, b) eps(b, a) = (-1)^(a^T (E + E^T) b), so the pair (a, b) fails
+    skew-symmetry exactly when a^T (E + E^T) b is odd, with lhs -1 and
+    rhs 1.  Each element's row of E + E^T is precomputed as a bitmask, so
+    a pair costs one AND and one parity count."""
     if not e.is_well_defined():
         raise InvalidRepresentationError(
             "exponent matrix rows/columns at odd moduli must vanish mod 2"
         )
-    return _bicharacter_reports(e.group, e.value)
+    skew_form = tuple(tuple(x ^ y for x, y in zip(row, col))
+                      for row, col in zip(e.matrix, zip(*e.matrix)))
+    els, forms = e.group._els(), _forms(e.group, skew_form)
+    skew = AxiomReport("bicharacter:skew-symmetry")
+    for a, (_, form) in zip(els, forms):
+        if form:
+            for b, (bits, _) in zip(els, forms):
+                if (form & bits).bit_count() & 1:
+                    skew.record((a, b), (MINUS_ONE,), (ONE,))
+    return [skew.finish()] + [AxiomReport(f"bicharacter:{law}") for law in (
+        "additivity-left", "additivity-right", "identity-element", "diagonal-sign")]
 
 
 def validate_bicharacter_table(t):
     """The same exhaustive bicharacter laws for a rational-valued table
-    (used to certify the delta of a multiplier, and products of factors)."""
-    return _bicharacter_reports(t.group, t.value)
+    (used to certify the delta of a multiplier, and products of factors).
 
-
-def _bicharacter_reports(group, val):
-    els = group.elements()
-    zero = group.zero
-    skew = AxiomReport("bicharacter:skew-symmetry")
-    left = AxiomReport("bicharacter:additivity-left")
-    right = AxiomReport("bicharacter:additivity-right")
-    unit = AxiomReport("bicharacter:identity-element")
-    diag = AxiomReport("bicharacter:diagonal-sign")
-    for a in els:
-        if val(a, zero) != 1 or val(zero, a) != 1:
-            unit.record((a,), (val(a, zero),), (val(zero, a),))
-        if val(a, a) not in (1, -1):
-            diag.record((a,), (val(a, a),), (ONE,))
-        for b in els:
-            if val(a, b) * val(b, a) != 1:
-                skew.record((a, b), (val(a, b) * val(b, a),), (ONE,))
-            for c in els:
-                lhs = val(a, group.add(b, c))
-                rhs = val(a, b) * val(a, c)
-                if lhs != rhs:
-                    left.record((a, b, c), (lhs,), (rhs,))
-                lhs = val(group.add(a, b), c)
-                rhs = val(a, c) * val(b, c)
-                if lhs != rhs:
-                    right.record((a, b, c), (lhs,), (rhs,))
-    return [r.finish() for r in (skew, left, right, unit, diag)]
+    These laws are not homogeneous in t, so they compare the table's
+    Fraction values; the additivity laws are swept a row at a time over
+    the index tables."""
+    g = t.group
+    els, sums, val = g._els(), g._sum_table(), t._table()
+    skew, unit, diag = (AxiomReport(f"bicharacter:{law}")
+                        for law in ("skew-symmetry", "identity-element", "diagonal-sign"))
+    for a, ea in enumerate(els):
+        if val[a][0] != 1 or val[0][a] != 1:
+            unit.record((ea,), (val[a][0],), (val[0][a],))
+        if val[a][a] not in (1, -1):
+            diag.record((ea,), (val[a][a],), (ONE,))
+        for b, eb in enumerate(els):
+            p = val[a][b] * val[b][a]
+            if p != 1:
+                skew.record((ea, eb), (p,), (ONE,))
+    n = g.order
+    # eps(a, b + c) = eps(a, b) eps(a, c)
+    left = _row_sweep(
+        "bicharacter:additivity-left", n,
+        lambda a, b: ([val[a][k] for k in sums[b]], [val[a][b] * x for x in val[a]]),
+        lambda a, b, c: ((els[a], els[b], els[c]), (val[a][sums[b][c]],),
+                         (val[a][b] * val[a][c],)))
+    # eps(a + b, c) = eps(a, c) eps(b, c)
+    right = _row_sweep(
+        "bicharacter:additivity-right", n,
+        lambda a, b: (val[sums[a][b]], [x * y for x, y in zip(val[a], val[b])]),
+        lambda a, b, c: ((els[a], els[b], els[c]), (val[sums[a][b]][c],),
+                         (val[a][c] * val[b][c],)))
+    return [skew.finish(), left, right, unit.finish(), diag.finish()]
 
 
 def validate_multiplier(s, symmetric=False):
     """Check the 2-cocycle law s(x, y+z)s(y, z) = s(x, y)s(x+y, z) on all
     triples; with `symmetric`, additionally check symmetry and the cyclic
-    invariance of s(x, y)s(z, x+y) required by the symmetric-twist theorem."""
+    invariance of s(x, y)s(z, x+y) required by the symmetric-twist theorem.
+
+    The three laws are homogeneous in s, of degrees 2, 1 and 2, so they
+    hold for s exactly when they hold for D*s, where D is the lcm of the
+    denominators of s: the sweeps compare the Python ints of D*s over the
+    index tables.  A violation is recorded with the element tuples and
+    the products of the original Fraction values."""
     g = s.group
-    els = g.elements()
-    cocycle = AxiomReport("multiplier:cocycle")
-    for x in els:
-        for y in els:
-            for z in els:
-                lhs = s.value(x, g.add(y, z)) * s.value(y, z)
-                rhs = s.value(x, y) * s.value(g.add(x, y), z)
-                if lhs != rhs:
-                    cocycle.record((x, y, z), (lhs,), (rhs,))
-    reports = [cocycle.finish()]
+    els, sums, val = g._els(), g._sum_table(), s._table()
+    n = g.order
+    d = math.lcm(*(x.denominator for row in val for x in row))
+    ints = [[x.numerator * (d // x.denominator) for x in row] for row in val]
+
+    def after(x, y):
+        # s(x, y + z) s(y, z) over z
+        row = ints[x]
+        return [row[k] * c for k, c in zip(sums[y], ints[y])]
+
+    cocycle = _row_sweep(
+        "multiplier:cocycle", n,
+        lambda x, y: (after(x, y), [ints[x][y] * c for c in ints[sums[x][y]]]),
+        lambda x, y, z: ((els[x], els[y], els[z]), (val[x][sums[y][z]] * val[y][z],),
+                         (val[x][y] * val[sums[x][y]][z],)))
+    reports = [cocycle]
     if symmetric:
+        cols = [list(col) for col in zip(*ints)]
         sym = AxiomReport("multiplier:symmetry")
-        for x in els:
-            for y in els:
-                if s.value(x, y) != s.value(y, x):
-                    sym.record((x, y), (s.value(x, y),), (s.value(y, x),))
-        cyc = AxiomReport("multiplier:cyclic-invariance")
-        for x in els:
-            for y in els:
-                for z in els:
-                    v0 = s.value(x, y) * s.value(z, g.add(x, y))
-                    v1 = s.value(y, z) * s.value(x, g.add(y, z))
-                    v2 = s.value(z, x) * s.value(y, g.add(z, x))
-                    if not (v0 == v1 == v2):
-                        cyc.record((x, y, z), (v0,), (v1, v2))
-        reports.extend([sym.finish(), cyc.finish()])
+        for x, y in itertools.product(range(n), repeat=2):
+            if ints[x][y] != ints[y][x]:
+                sym.record((els[x], els[y]), (val[x][y],), (val[y][x],))
+
+        def cyclic(x, y):
+            # s(x, y)s(z, x+y), s(y, z)s(x, y+z), s(z, x)s(y, z+x) over z
+            row = ints[y]
+            return ([ints[x][y] * c for c in cols[sums[x][y]]], after(x, y),
+                    [c * row[k] for c, k in zip(cols[x], sums[x])])
+
+        cyc = _row_sweep(
+            "multiplier:cyclic-invariance", n, cyclic,
+            lambda x, y, z: ((els[x], els[y], els[z]), (val[x][y] * val[z][sums[x][y]],),
+                             (val[y][z] * val[x][sums[y][z]], val[z][x] * val[y][sums[z][x]])))
+        reports.extend([sym, cyc])
     return reports
 
 
 def delta_from_multiplier(s):
     """delta(x, y) = s(x, y) / s(y, x), the bicharacter associated with s."""
-    return MultiplierTable.from_function(s.group, lambda a, b: s.value(a, b) / s.value(b, a))
+    val = s._table()
+    return MultiplierTable(s.group, tuple(tuple(a / b for a, b in zip(row, col))
+                                          for row, col in zip(val, zip(*val))))
 
 
 def twist_epsilon(e, d):
     """Pointwise product of two commutation factors on the same group."""
     if e.group != d.group:
         raise ShapeError("commutation factors live on different groups")
-    return MultiplierTable.from_function(e.group, lambda a, b: e.value(a, b) * d.value(a, b))
+    return MultiplierTable(e.group, tuple(tuple(a * b for a, b in zip(ra, rb))
+                                          for ra, rb in zip(e._table(), d._table())))

@@ -202,3 +202,57 @@ def ref_operator(A, claim):
                 record(label, (i, j), p.apply(bi, bj), b.apply(inner))
     alpha = _ref_intertwines("operator:alpha-commutation", b, A.alpha, A.alpha)
     return [alpha] + list(reports.items())
+
+
+# ---------------------------------------------------------------------------
+# dense reference for the group laws: the laws on coordinate tuples, through
+# the public elements, add and value only.  A report is as above.
+
+def ref_bicharacter(t):
+    """The five bicharacter laws of a sign bicharacter or a rational table."""
+    group, val = t.group, t.value
+    els, zero = group.elements(), group.zero
+    skew, left, right, unit, diag = ([] for _ in range(5))
+    for a in els:
+        if val(a, zero) != 1 or val(zero, a) != 1:
+            unit.append(((a,), (val(a, zero),), (val(zero, a),)))
+        if val(a, a) not in (1, -1):
+            diag.append(((a,), (val(a, a),), (F(1),)))
+        for b in els:
+            if val(a, b) * val(b, a) != 1:
+                skew.append(((a, b), (val(a, b) * val(b, a),), (F(1),)))
+            for c in els:
+                lhs, rhs = val(a, group.add(b, c)), val(a, b) * val(a, c)
+                if lhs != rhs:
+                    left.append(((a, b, c), (lhs,), (rhs,)))
+                lhs, rhs = val(group.add(a, b), c), val(a, c) * val(b, c)
+                if lhs != rhs:
+                    right.append(((a, b, c), (lhs,), (rhs,)))
+    laws = ("skew-symmetry", "additivity-left", "additivity-right",
+            "identity-element", "diagonal-sign")
+    return [(f"bicharacter:{law}", v) for law, v in zip(laws, (skew, left, right, unit, diag))]
+
+
+def ref_multiplier(s, symmetric=False):
+    """The cocycle law, and with `symmetric` symmetry and cyclic invariance."""
+    g, val = s.group, s.value
+    els = g.elements()
+    cocycle = []
+    for x, y, z in itertools.product(els, repeat=3):
+        lhs = val(x, g.add(y, z)) * val(y, z)
+        rhs = val(x, y) * val(g.add(x, y), z)
+        if lhs != rhs:
+            cocycle.append(((x, y, z), (lhs,), (rhs,)))
+    reports = [("multiplier:cocycle", cocycle)]
+    if symmetric:
+        sym = [((x, y), (val(x, y),), (val(y, x),))
+               for x, y in itertools.product(els, repeat=2) if val(x, y) != val(y, x)]
+        cyc = []
+        for x, y, z in itertools.product(els, repeat=3):
+            v0 = val(x, y) * val(z, g.add(x, y))
+            v1 = val(y, z) * val(x, g.add(y, z))
+            v2 = val(z, x) * val(y, g.add(z, x))
+            if not (v0 == v1 == v2):
+                cyc.append(((x, y, z), (v0,), (v1, v2)))
+        reports += [("multiplier:symmetry", sym), ("multiplier:cyclic-invariance", cyc)]
+    return reports

@@ -230,3 +230,17 @@ class TestExactInputs:
         m = EvenLinearMap.diagonal(example3.basis, (2, F(1, 3), 1))
         assert m.matrix[0][0] == 2 and m.matrix[1][1] == F(1, 3)
         assert all(type(c) is F for row in m.matrix for c in row)
+
+
+class TestProductIndices:
+    @pytest.mark.parametrize("entry", [
+        (True, True, 0, 1), (0, False, 0, 1), (0.0, 0, 0, 1), (0, 0, 1.0, 1),
+        (F(0), 0, 0, 1), ("0", 0, 0, 1), (None, 0, 0, 1),
+    ])
+    def test_non_integer_index_refused(self, rb2dim, entry):
+        with pytest.raises(ShapeError):
+            BilinearProduct(rb2dim.basis, (entry,))
+
+    def test_integer_indices_accepted(self, rb2dim):
+        p = BilinearProduct(rb2dim.basis, ((0, 0, 0, 1),))
+        assert p.entries == ((0, 0, 0, F(1)),)

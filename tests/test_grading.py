@@ -1,3 +1,5 @@
+import importlib.util
+import pathlib
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +17,8 @@ from algcheck import (
     validate_bicharacter_table,
     validate_multiplier,
 )
+
+from conftest import ref_bicharacter
 
 Z2SQ = GroupSpec((2, 2))
 Z4 = GroupSpec((4,))
@@ -111,6 +115,58 @@ class TestBicharacter:
             assert e.value(a, a) in (1, -1)
 
 
+class TestClosedForm:
+    """validate_bicharacter answers a sign bicharacter without a |G|^3 sweep."""
+
+    def test_ill_defined_matrix_raises_before_any_sweep(self):
+        g = GroupSpec((3, 4, 4, 4))
+        e = SignBicharacter(g, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+        with pytest.raises(InvalidRepresentationError):
+            validate_bicharacter(e)
+        assert g._elements is None and g._sums is None
+
+    def test_non_skew_matrix_fails_at_the_reference_pairs(self):
+        g = GroupSpec((4, 2))
+        e = SignBicharacter(g, ((0, 1), (0, 0)))
+        skew, *rest = validate_bicharacter(e)
+        want = dict(ref_bicharacter(e))["bicharacter:skew-symmetry"]
+        assert want and [(v.indices, v.lhs, v.rhs) for v in skew.violations] == want
+        assert all(v.lhs == (-1,) and v.rhs == (1,) for v in skew.violations)
+        # a^T (E + E^T) b = a_0 b_1 + a_1 b_0 mod 2
+        assert [v.indices for v in skew.violations] == [
+            (a, b) for a in g.elements() for b in g.elements() if (a[0] * b[1] + a[1] * b[0]) % 2]
+        assert all(r.ok for r in rest)
+        assert g._sums is None  # the sign path never needs the addition table
+
+    @pytest.mark.parametrize("moduli", [(), (1,), (1, 1), (1, 2, 1)])
+    def test_trivial_factors_give_five_empty_reports(self, moduli):
+        g = GroupSpec(moduli)
+        r = g.rank
+        e = SignBicharacter(g, tuple(tuple(int(moduli[i] == 2 and i == j) for j in range(r))
+                                     for i in range(r)))
+        reports = validate_bicharacter(e)
+        assert [rep.axiom for rep in reports] == [name for name, _ in ref_bicharacter(e)]
+        assert len(reports) == 5 and all(rep.ok for rep in reports)
+
+    def test_group_identity_ignores_cached_tables(self):
+        warm, cold = GroupSpec((2, 3)), GroupSpec((2, 3))
+        validate_multiplier(MultiplierTable.constant(warm, 1))
+        assert warm._elements is not None and warm._sums is not None
+        assert cold._elements is None and cold._sums is None
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold) == "GroupSpec(moduli=(2, 3))"
+        e = SignBicharacter(warm, ((1, 0), (0, 0)))
+        e._table()
+        assert e == SignBicharacter(cold, ((1, 0), (0, 0)))
+        assert hash(e) == hash(SignBicharacter(cold, ((1, 0), (0, 0))))
+
+    def test_sum_table_matches_add(self):
+        g = GroupSpec((2, 3, 4))
+        els = g.elements()
+        assert [[els[k] for k in row] for row in g._sum_table()] == [
+            [g.add(a, b) for b in els] for a in els]
+
+
 class TestMultiplier:
     def test_asym_cocycle_holds_symmetry_fails(self):
         s = sigma_asym()
@@ -180,3 +236,16 @@ class TestTwistEpsilon:
     def test_group_mismatch(self):
         with pytest.raises(ShapeError):
             twist_epsilon(SignBicharacter(Z4, ((0,),)), MultiplierTable.constant(Z2SQ, 1))
+
+
+def test_scale_probe_runs_at_small_orders():
+    # scripts/scale_probe.py must keep working; full sizes are for manual runs
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "scale_probe.py"
+    spec = importlib.util.spec_from_file_location("scale_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    for order in (1, 2, 16):
+        assert all(t >= 0 for t in probe.sweep_seconds(order))
+    with pytest.raises(ValueError):
+        probe.sweep_seconds(12)
+    assert probe.cli_validate_seconds(rank=4) > 0

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -28,11 +29,14 @@ from algcheck import (
     check_morphism,
     check_operator,
     commutator_bracket,
+    delta_from_multiplier,
     nijenhuis_twist,
     rota_baxter_twist,
     tensor_with_commutative,
     transport_along_bijection,
+    twist_epsilon,
     validate_bicharacter,
+    validate_bicharacter_table,
     validate_multiplier,
     xi_twist,
 )
@@ -52,6 +56,8 @@ from conftest import (
     ref_hom_leibniz,
     ref_hom_lie,
     ref_morphism,
+    ref_bicharacter,
+    ref_multiplier,
     ref_operator,
     three_dim,
 )
@@ -282,6 +288,63 @@ def test_sparse_sweeps_match_dense_reference(case, data):
                          ("rota-baxter", {"weight": weight}), ("nijenhuis", {})):
             claim = OperatorClaim(m, kind, **kw)
             pairs.append((check_operator(A, claim), ref_operator(A, claim)))
+    for got, want in pairs:
+        assert _plain(got) == want
+        for r in got:
+            for v in r.violations:
+                assert all(type(x) is F for x in v.lhs + v.rhs)
+
+
+# ---------------------------------------------------------------------------
+# the group laws on index tables against the dense tuple loops
+
+group_moduli = st.lists(st.sampled_from([1, 2, 3, 4, 6]), min_size=1, max_size=3).filter(
+    lambda moduli: math.prod(moduli) <= 24)
+fractions_nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+
+
+def _perturbed_table(draw, t):
+    """t with one entry multiplied by a rational other than 1."""
+    n = t.group.order
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    rows = [list(row) for row in t.values]
+    rows[i][j] *= draw(fractions_nonzero.filter(lambda q: q != 1))
+    return MultiplierTable(t.group, rows)
+
+
+@st.composite
+def group_law_cases(draw):
+    """A group, a well-defined (not always skew) sign bicharacter on it, and
+    a multiplier: a coboundary or (-1)^(x_0 y_1) c, perturbed or not."""
+    g = GroupSpec(tuple(draw(group_moduli)))
+    odd = [m % 2 for m in g.moduli]
+    e = SignBicharacter(g, tuple(
+        tuple(0 if odd[i] or odd[j] else draw(st.integers(-3, 3)) for j in range(g.rank))
+        for i in range(g.rank)))
+    if draw(st.booleans()):
+        b = {a: draw(fractions_nonzero) for a in g.elements()}
+        s = MultiplierTable.from_function(g, lambda x, y: b[x] * b[y] / b[g.add(x, y)])
+    else:
+        c, j = draw(fractions_nonzero), min(1, g.rank - 1)
+        s = MultiplierTable.from_function(g, lambda x, y: F(-1) ** (x[0] * y[j]) * c)
+    if draw(st.booleans()):
+        s = _perturbed_table(draw, s)
+    return e, s
+
+
+@given(group_law_cases(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_group_laws_match_dense_reference(case, data):
+    e, s = case
+    g, els = e.group, e.group.elements()
+    delta = delta_from_multiplier(s)
+    tables = [delta, _perturbed_table(data.draw, delta), twist_epsilon(e, delta)]
+    for a, b in itertools.product(els, repeat=2):
+        assert delta.value(a, b) == s.value(a, b) / s.value(b, a)
+        assert tables[2].value(a, b) == e.value(a, b) * delta.value(a, b)
+    pairs = [(validate_bicharacter(e), ref_bicharacter(e)),
+             (validate_multiplier(s, symmetric=True), ref_multiplier(s, symmetric=True))]
+    pairs += [(validate_bicharacter_table(t), ref_bicharacter(t)) for t in tables]
     for got, want in pairs:
         assert _plain(got) == want
         for r in got:
