@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
-"""Time the group laws on Z_2^r as the grading group grows.
+"""Time the group laws on Z_2^r as the grading group grows, and the axiom
+sweeps and operator predicates as the dimension grows.
 
 Run from the repository root:  python3 scripts/scale_probe.py [ORDER ...]
 
 For each group order (default 16, 32, 64 and 256) it prints the seconds
 `validate_bicharacter` takes on the identity exponent matrix and the
 seconds `validate_multiplier(symmetric=True)` takes on the symmetric
-multiplier s(x, y) = (-1)^(x . y) / 3, both in process.  It then prints
-the end-to-end seconds of `algcheck validate` on a dim-1 document with a
-sign bicharacter over Z_2^8, run in a fresh interpreter the way the
-console script runs it.  Every verdict must be PASS.
+multiplier s(x, y) = (-1)^(x . y) / 3, both in process.  For each
+dimension in DIMS it prints the seconds `check_hom_poisson` takes on the
+eps-commutator of the group algebra K[Z_2^r], and the seconds
+`check_operator` takes on 2 id for every operator kind (Rota-Baxter at
+weight -2), also in process.  It then prints the end-to-end seconds of
+`algcheck validate` on a dim-1 document with a sign bicharacter over
+Z_2^8, run in a fresh interpreter the way the console script runs it.
+Every verdict must be PASS.
 """
 
 import os
@@ -31,14 +36,20 @@ from algcheck import (  # noqa: E402
     GradedBasis,
     GroupSpec,
     MultiplierTable,
+    OperatorClaim,
     SignBicharacter,
     all_ok,
+    check_hom_poisson,
+    check_operator,
+    commutator_bracket,
     serialize_document,
     validate_bicharacter,
     validate_multiplier,
 )
+from algcheck.operators import KINDS  # noqa: E402
 
 ORDERS = (16, 32, 64, 256)
+DIMS = (8, 16, 32)
 
 
 def _timed(fn, *args, **kwargs):
@@ -50,17 +61,45 @@ def _timed(fn, *args, **kwargs):
     return elapsed
 
 
-def sweep_seconds(order):
-    """(validate_bicharacter, validate_multiplier(symmetric=True)) seconds
-    on Z_2^r with 2^r = order."""
+def z2_power(order):
+    """Z_2^r with 2^r = order, and its identity exponent matrix."""
     rank = order.bit_length() - 1
     if order != 1 << rank:
         raise ValueError(f"order {order} is not a power of 2")
     g = GroupSpec((2,) * rank)
-    e = SignBicharacter(g, tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
+    return g, SignBicharacter(g, tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
+
+
+def sweep_seconds(order):
+    """(validate_bicharacter, validate_multiplier(symmetric=True)) seconds
+    on Z_2^r with 2^r = order."""
+    g, e = z2_power(order)
     s = MultiplierTable.from_function(
         g, lambda x, y: F(-1) ** sum(a * b for a, b in zip(x, y)) / 3)
     return _timed(validate_bicharacter, e), _timed(validate_multiplier, s, symmetric=True)
+
+
+def group_algebra_commutator(dim):
+    """K[Z_2^r] with 2^r = dim, e_g e_h = e_{g+h} and alpha = id, extended
+    by its eps-commutator for the identity exponent matrix."""
+    g, e = z2_power(dim)
+    els = g.elements()
+    index = {x: i for i, x in enumerate(els)}
+    basis = GradedBasis(g, els)
+    mu = BilinearProduct(basis, tuple((i, j, index[g.add(x, y)], 1)
+                                      for i, x in enumerate(els) for j, y in enumerate(els)))
+    return commutator_bracket(GradedAlgebra(g, e, basis, mu, None, EvenLinearMap.identity(basis)))
+
+
+def dimension_seconds(dim):
+    """(check_hom_poisson seconds, {kind: check_operator seconds}) on
+    group_algebra_commutator(dim), with the operator 2 id."""
+    A = group_algebra_commutator(dim)
+    two = EvenLinearMap.scalar(A.basis, 2)
+    claims = {kind: OperatorClaim(two, kind, weight=-2 if kind == "rota-baxter" else None)
+              for kind in KINDS}
+    return _timed(check_hom_poisson, A), {
+        kind: _timed(check_operator, A, claim) for kind, claim in claims.items()}
 
 
 def line_document(rank):
@@ -97,6 +136,13 @@ def main(argv=None):
     for order in orders:
         bich, mult = sweep_seconds(order)
         print(f"| {order} | {bich:.4f} s | {mult:.3f} s |")
+    print()
+    print("| dim | check_hom_poisson | " + " | ".join(f"check_operator {k}" for k in KINDS) + " |")
+    print("|---" * (2 + len(KINDS)) + "|")
+    for dim in DIMS:
+        poisson, operators = dimension_seconds(dim)
+        print(f"| {dim} | {poisson:.3f} s | " + " | ".join(f"{operators[k]:.3f} s" for k in KINDS) + " |")
+    print()
     print(f"CLI validate, dim 1, sign bicharacter over Z_2^8: {cli_validate_seconds(8):.3f} s")
 
 

@@ -43,12 +43,10 @@ def _load(path):
     return parse_document(text)
 
 
-def _emit(reports, as_json, full=False, extra=None):
+def _emit(reports, as_json, full=False):
     code = EXIT_OK if all_ok(reports) else EXIT_AXIOM
     if as_json:
         payload = {"reports": [r.to_json() for r in reports], "exit": code}
-        if extra:
-            payload.update(extra)
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in render_reports(reports, full=full):

@@ -10,8 +10,9 @@ The sweeps run on sparse vectors, {index: Fraction} dicts with zeros
 dropped: a product visits only the nonzero x_i and, in the product's row
 index for i, only the nonzero y_j; a map reads its sparse columns.  Each
 sweep still visits every basis tuple.  Only a recorded violation is
-expanded into dense tuples of Fraction, so reports are the same as those
-of the dense formulas, which the public `apply` methods keep.
+expanded into dense tuples of Fraction.  The public `apply`, `of_pair`
+and `column` methods work on dense tuples; the test suite's dense
+reference is written with them alone.
 """
 
 import itertools
@@ -33,25 +34,6 @@ from .report import AxiomReport
 ZERO = Fraction(0)
 ONE = Fraction(1)
 _EMPTY = MappingProxyType({})
-
-
-# ---------------------------------------------------------------------------
-# exact vectors
-
-def vec_add(*vs):
-    return tuple(sum(col) for col in zip(*vs))
-
-
-def vec_sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_scale(c, x):
-    return tuple(c * a for a in x)
-
-
-def vec_is_zero(x):
-    return all(a == 0 for a in x)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +105,8 @@ class EvenLinearMap:
         n = self.basis.dim
         if len(vec) != n:
             raise ShapeError("vector length mismatch")
-        return tuple(sum(self.matrix[i][j] * vec[j] for j in range(n)) for i in range(n))
+        support = [j for j in range(n) if vec[j]]
+        return tuple(sum((row[j] * vec[j] for j in support), ZERO) for row in self.matrix)
 
     def column(self, j):
         return tuple(row[j] for row in self.matrix)
@@ -186,7 +169,7 @@ class BilinearProduct:
 
     basis: GradedBasis
     entries: tuple
-    _table: dict = field(default=None, compare=False, repr=False)
+    _table: dict = field(init=False, default=None, compare=False, repr=False)
     _rows: dict = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -239,9 +222,9 @@ class BilinearProduct:
             raise ShapeError("vector length mismatch in product")
         out = [ZERO] * n
         for (i, j), terms in self._table.items():
-            f = x[i] * y[j]
-            if f == 0:
+            if not (x[i] and y[j]):
                 continue
+            f = x[i] * y[j]
             for k, c in terms.items():
                 out[k] += f * c
         return tuple(out)
@@ -288,17 +271,6 @@ class GradedAlgebra:
         )
         data.update(kw)
         return GradedAlgebra(**data)
-
-
-def components(basis, vec):
-    """Split a vector into its homogeneous components, keyed by degree."""
-    parts = {}
-    for i, c in enumerate(vec):
-        if c != 0:
-            d = basis.degrees[i]
-            part = parts.setdefault(d, [ZERO] * basis.dim)
-            part[i] = c
-    return {d: tuple(v) for d, v in parts.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -489,75 +461,3 @@ def check_morphism(f, src, dst):
             lambda i, j: (_mapped(f, _pair(p_src, i, j)), _product(p_dst, columns[i], columns[j])),
         ))
     return reports
-
-
-# ---------------------------------------------------------------------------
-# dual evaluation paths for arbitrary vectors (internal oracle)
-#
-# Path (a): trilinear combination of the per-basis-tuple residuals above.
-# Path (b): direct expansion through BilinearProduct.apply on (components
-# of) the vectors.  Both must agree everywhere; the test suite compares
-# them on random rational vectors.
-
-_RESIDUALS = {
-    "associativity": (_assoc_residual, 3),
-    "jacobi": (_jacobi_residual, 3),
-    "leibniz": (_leibniz_residual, 3),
-}
-
-
-def residual_from_basis(A, axiom, vectors):
-    fn, arity = _RESIDUALS[axiom]
-    if len(vectors) != arity:
-        raise ShapeError(f"{axiom} takes {arity} vectors")
-    n = A.dim
-    ctx = _context(A)
-    out = [ZERO] * n
-    for idx in itertools.product(range(n), repeat=arity):
-        coeff = ONE
-        for v, i in zip(vectors, idx):
-            coeff *= v[i]
-        if coeff == 0:
-            continue
-        lhs, rhs = (_dense(v, n) for v in fn(A, ctx, *idx))
-        for k in range(n):
-            out[k] += coeff * (lhs[k] - rhs[k])
-    return tuple(out)
-
-
-def residual_direct(A, axiom, vectors):
-    n = A.dim
-    if axiom == "associativity":
-        x, y, z = vectors
-        ax, az = A.alpha.apply(x), A.alpha.apply(z)
-        return vec_sub(A.mu.apply(ax, A.mu.apply(y, z)), A.mu.apply(A.mu.apply(x, y), az))
-    if axiom == "jacobi":
-        x, y, z = vectors
-        out = [ZERO] * n
-        for dx, xc in components(A.basis, x).items():
-            for dy, yc in components(A.basis, y).items():
-                for dz, zc in components(A.basis, z).items():
-                    t = vec_add(
-                        vec_scale(A.epsilon.value(dz, dx),
-                                  A.bracket.apply(A.alpha.apply(xc), A.bracket.apply(yc, zc))),
-                        vec_scale(A.epsilon.value(dx, dy),
-                                  A.bracket.apply(A.alpha.apply(yc), A.bracket.apply(zc, xc))),
-                        vec_scale(A.epsilon.value(dy, dz),
-                                  A.bracket.apply(A.alpha.apply(zc), A.bracket.apply(xc, yc))),
-                    )
-                    out = [a + b for a, b in zip(out, t)]
-        return tuple(out)
-    if axiom == "leibniz":
-        x, y, z = vectors
-        out = list(A.bracket.apply(A.alpha.apply(x), A.mu.apply(y, z)))
-        az = A.alpha.apply(z)
-        for dx, xc in components(A.basis, x).items():
-            for dy, yc in components(A.basis, y).items():
-                t = vec_add(
-                    A.mu.apply(A.bracket.apply(xc, yc), az),
-                    vec_scale(A.epsilon.value(dx, dy),
-                              A.mu.apply(A.alpha.apply(yc), A.bracket.apply(xc, z))),
-                )
-                out = [a - b for a, b in zip(out, t)]
-        return tuple(out)
-    raise ShapeError(f"unknown axiom {axiom!r}")

@@ -2,8 +2,8 @@
 
 Decides whether an even linear map is a centroid element, averaging
 operator, Rota-Baxter operator or Nijenhuis operator, for each product
-the algebra carries.  Every predicate is an exhaustive basis-pair sweep
-returning the full list of violations.
+the algebra carries.  Every predicate is one `core._sweep` over the
+basis pairs per product and law, returning the full list of violations.
 """
 
 import itertools
@@ -13,11 +13,11 @@ from .core import (
     ONE,
     EvenLinearMap,
     _combined,
-    _dense,
     _intertwines,
     _mapped,
     _pair,
     _product,
+    _sweep,
     commutator_bracket,
 )
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     ShapeError,
 )
 from .grading import _rational
-from .report import AxiomReport, all_ok
+from .report import all_ok
 
 KINDS = ("centroid", "averaging", "rota-baxter", "nijenhuis")
 
@@ -65,6 +65,32 @@ def _deformed(p, b, i, j, last):
                      (ONE, _product(p, {i: ONE}, bc[j])), last)
 
 
+def _laws(claim, p, ak, name):
+    """The (label, law) sweeps of check_operator for `claim` on the
+    product p named `name`, in report order."""
+    b, kind = claim.map, claim.kind
+    bc, label = b._columns, f"{kind}:{name}"
+    if kind == "centroid":
+        left, right = (
+            lambda i, j: (_mapped(b, _pair(p, i, j)), _product(p, bc[i], ak[j])),
+            lambda i, j: (_mapped(b, _pair(p, i, j)), _product(p, ak[i], bc[j])),
+        )
+    elif kind == "averaging":
+        left, right = (
+            lambda i, j: (_mapped(b, _product(p, bc[i], ak[j])), _product(p, bc[i], bc[j])),
+            lambda i, j: (_product(p, bc[i], bc[j]), _mapped(b, _product(p, ak[i], bc[j]))),
+        )
+    else:
+        # Rota-Baxter and Nijenhuis differ only in the last term:
+        # weight * p(e_i, e_j) versus -b(p(e_i, e_j))
+        def last(pij):
+            return (claim.weight, pij) if kind == "rota-baxter" else (-ONE, _mapped(b, pij))
+        return [(label, lambda i, j: (
+            _product(p, bc[i], bc[j]), _mapped(b, _deformed(p, b, i, j, last(_pair(p, i, j))))))]
+    # the right-hand law is checked for mu only
+    return [(f"{label}:left", left)] + ([(f"{label}:right", right)] if name == "mu" else [])
+
+
 def check_operator(A, claim, products="all"):
     """Check the claimed operator identities on all basis pairs, for each
     product of A selected by `products` ("all", "mu" or "bracket")."""
@@ -80,42 +106,10 @@ def check_operator(A, claim, products="all"):
     else:
         raise ShapeError(f"unknown product selector {products!r}")
 
-    alpha = _intertwines("operator:alpha-commutation", b, A.alpha, A.alpha)
     ak = A.alpha.power(claim.power)._columns if claim.kind in ("centroid", "averaging") else None
-    n = A.dim
-    bc = b._columns
-    reports = {}  # one report per label, in first-seen order
-
-    def record(label, indices, lhs, rhs):
-        # lhs and rhs are sparse; expanded only when recorded
-        if label not in reports:
-            reports[label] = AxiomReport(label)
-        if lhs != rhs:
-            reports[label].record(indices, _dense(lhs, n), _dense(rhs, n))
-
-    for name in names:
-        p = getattr(A, name)
-        label = f"{claim.kind}:{name}"
-        for i, j in itertools.product(range(n), repeat=2):
-            bi, bj = bc[i], bc[j]
-            if claim.kind == "centroid":
-                lhs = _mapped(b, _pair(p, i, j))
-                record(f"{label}:left", (i, j), lhs, _product(p, bi, ak[j]))
-                if name == "mu":
-                    record(f"{label}:right", (i, j), lhs, _product(p, ak[i], bj))
-            elif claim.kind == "averaging":
-                mid = _product(p, bi, bj)
-                record(f"{label}:left", (i, j), _mapped(b, _product(p, bi, ak[j])), mid)
-                if name == "mu":
-                    record(f"{label}:right", (i, j), mid, _mapped(b, _product(p, ak[i], bj)))
-            else:
-                # Rota-Baxter and Nijenhuis differ only in the last term:
-                # weight * p(e_i, e_j) versus -b(p(e_i, e_j))
-                pij = _pair(p, i, j)
-                last = ((claim.weight, pij) if claim.kind == "rota-baxter"
-                        else (-ONE, _mapped(b, pij)))
-                record(label, (i, j), _product(p, bi, bj), _mapped(b, _deformed(p, b, i, j, last)))
-    return [alpha] + [r.finish() for r in reports.values()]
+    return [_intertwines("operator:alpha-commutation", b, A.alpha, A.alpha)] + [
+        _sweep(label, A.dim, 2, law)
+        for name in names for label, law in _laws(claim, getattr(A, name), ak, name)]
 
 
 def check_nijenhuis_transfer(A, N):

@@ -11,8 +11,18 @@ from algcheck import (
     GradedAlgebra,
     GradedBasis,
     GroupSpec,
+    ShapeError,
     SignBicharacter,
     parse_document,
+)
+from algcheck.core import (
+    ONE,
+    ZERO,
+    _assoc_residual,
+    _context,
+    _dense,
+    _jacobi_residual,
+    _leibniz_residual,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -94,17 +104,106 @@ def diff4():
 
 
 # ---------------------------------------------------------------------------
-# dense reference for the sweeps: the residual formulas on dense tuples,
-# through the public apply, of_pair and column only.  A report is
-# (label, [(indices, lhs, rhs), ...]).
+# dense reference: exact vectors as tuples of Fraction, and each axiom's
+# (lhs, rhs) formula on arbitrary vectors, through the public apply, of_pair
+# and column only.  The commutation factor is read per homogeneous component.
 
-def _add(*vs):
-    return tuple(sum(col, F(0)) for col in zip(*vs))
+def vec_add(*vs):
+    return tuple(sum(col) for col in zip(*vs))
 
 
-def _scale(c, v):
-    return tuple(c * x for x in v)
+def vec_sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
 
+
+def vec_scale(c, x):
+    return tuple(c * a for a in x)
+
+
+def vec_is_zero(x):
+    return all(a == 0 for a in x)
+
+
+def components(basis, vec):
+    """Split a vector into its homogeneous components, keyed by degree."""
+    parts = {}
+    for i, c in enumerate(vec):
+        if c != 0:
+            d = basis.degrees[i]
+            part = parts.setdefault(d, [F(0)] * basis.dim)
+            part[i] = c
+    return {d: tuple(v) for d, v in parts.items()}
+
+
+def _homogeneous(A, *vectors):
+    """Every choice of one (degree, component) per vector."""
+    return itertools.product(*(components(A.basis, v).items() for v in vectors))
+
+
+def associativity(A, x, y, z):
+    """alpha(x)(yz) and (xy)alpha(z)."""
+    mu, al = A.mu, A.alpha
+    return mu.apply(al.apply(x), mu.apply(y, z)), mu.apply(mu.apply(x, y), al.apply(z))
+
+
+def jacobi(A, x, y, z):
+    """The cyclic sum of eps(c, a) [alpha(a), [b, c]] over (x, y, z), and 0."""
+    br, al, val = A.bracket, A.alpha, A.epsilon.value
+    cyclic = (vec_scale(val(dc, da), br.apply(al.apply(a), br.apply(b, c)))
+              for px, py, pz in _homogeneous(A, x, y, z)
+              for (da, a), (_, b), (dc, c) in ((px, py, pz), (py, pz, px), (pz, px, py)))
+    zero = (F(0),) * A.dim
+    return vec_add(zero, *cyclic), zero
+
+
+def leibniz(A, x, y, z):
+    """[alpha(x), yz] and [x, y]alpha(z) + eps(x, y) alpha(y)[x, z]."""
+    mu, br, al, val = A.mu, A.bracket, A.alpha, A.epsilon.value
+    twisted = (vec_scale(val(dx, dy), mu.apply(al.apply(yc), br.apply(xc, z)))
+               for (dx, xc), (dy, yc) in _homogeneous(A, x, y))
+    return (br.apply(al.apply(x), mu.apply(y, z)),
+            vec_add(mu.apply(br.apply(x, y), al.apply(z)), *twisted))
+
+
+AXIOMS = {"associativity": associativity, "jacobi": jacobi, "leibniz": leibniz}
+
+
+def residual_direct(A, axiom, vectors):
+    """lhs - rhs of the axiom's dense formula at the given vectors."""
+    return vec_sub(*AXIOMS[axiom](A, *vectors))
+
+
+# The kernel side: the trilinear combination of core's per-basis-tuple
+# residuals.  It must agree with residual_direct everywhere.
+_RESIDUALS = {
+    "associativity": (_assoc_residual, 3),
+    "jacobi": (_jacobi_residual, 3),
+    "leibniz": (_leibniz_residual, 3),
+}
+
+
+def residual_from_basis(A, axiom, vectors):
+    fn, arity = _RESIDUALS[axiom]
+    if len(vectors) != arity:
+        raise ShapeError(f"{axiom} takes {arity} vectors")
+    n = A.dim
+    ctx = _context(A)
+    out = [ZERO] * n
+    for idx in itertools.product(range(n), repeat=arity):
+        coeff = ONE
+        for v, i in zip(vectors, idx):
+            coeff *= v[i]
+        if coeff == 0:
+            continue
+        lhs, rhs = (_dense(v, n) for v in fn(A, ctx, *idx))
+        for k in range(n):
+            out[k] += coeff * (lhs[k] - rhs[k])
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# dense reference for the sweeps: the formulas above at basis vectors, and the
+# operator and morphism laws.  A report is (label, [(indices, lhs, rhs), ...]).
 
 def _ref_sweep(label, n, arity, residual):
     violations = []
@@ -115,39 +214,30 @@ def _ref_sweep(label, n, arity, residual):
     return label, violations
 
 
+def _at_basis(A, formula):
+    e = EvenLinearMap.identity(A.basis).column
+    return lambda *idx: formula(A, *map(e, idx))
+
+
 def ref_hom_associative(A):
-    mu, al = A.mu, A.alpha
-    return [_ref_sweep("hom-associativity", A.dim, 3, lambda i, j, k: (
-        mu.apply(al.column(i), mu.of_pair(j, k)), mu.apply(mu.of_pair(i, j), al.column(k))))]
+    return [_ref_sweep("hom-associativity", A.dim, 3, _at_basis(A, associativity))]
 
 
 def ref_epsilon_commutative(A):
     mu = A.mu
     return [_ref_sweep("epsilon-commutativity", A.dim, 2, lambda i, j: (
-        mu.of_pair(i, j), _scale(A.eps(i, j), mu.of_pair(j, i))))]
+        mu.of_pair(i, j), vec_scale(A.eps(i, j), mu.of_pair(j, i))))]
 
 
 def ref_hom_lie(A):
-    br, al, n = A.bracket, A.alpha, A.dim
-
-    def jacobi(i, j, k):
-        # eps(c, a) [alpha e_a, [e_b, e_c]] over the cyclic shifts of (i, j, k)
-        cyclic = ((i, j, k), (j, k, i), (k, i, j))
-        return (_add(*(_scale(A.eps(c, a), br.apply(al.column(a), br.of_pair(b, c)))
-                       for a, b, c in cyclic)),
-                (F(0),) * n)
-
-    return [_ref_sweep("epsilon-skew-symmetry", n, 2, lambda i, j: (
-                br.of_pair(i, j), _scale(-A.eps(i, j), br.of_pair(j, i)))),
-            _ref_sweep("hom-jacobi", n, 3, jacobi)]
+    br = A.bracket
+    return [_ref_sweep("epsilon-skew-symmetry", A.dim, 2, lambda i, j: (
+                br.of_pair(i, j), vec_scale(-A.eps(i, j), br.of_pair(j, i)))),
+            _ref_sweep("hom-jacobi", A.dim, 3, _at_basis(A, jacobi))]
 
 
 def ref_hom_leibniz(A):
-    mu, br, al = A.mu, A.bracket, A.alpha
-    return [_ref_sweep("hom-leibniz", A.dim, 3, lambda i, j, k: (
-        br.apply(al.column(i), mu.of_pair(j, k)),
-        _add(mu.apply(br.of_pair(i, j), al.column(k)),
-             _scale(A.eps(i, j), mu.apply(al.column(j), br.of_pair(i, k))))))]
+    return [_ref_sweep("hom-leibniz", A.dim, 3, _at_basis(A, leibniz))]
 
 
 def _ref_intertwines(label, f, src_alpha, dst_alpha):
@@ -196,9 +286,9 @@ def ref_operator(A, claim):
                     record(f"{label}:right", (i, j), mid, b.apply(p.apply(ak.column(i), bj)))
             else:
                 pij = p.of_pair(i, j)
-                last = (_scale(claim.weight, pij) if kind == "rota-baxter"
-                        else _scale(F(-1), b.apply(pij)))
-                inner = _add(p.apply(bi, unit(j)), p.apply(unit(i), bj), last)
+                last = (vec_scale(claim.weight, pij) if kind == "rota-baxter"
+                        else vec_scale(F(-1), b.apply(pij)))
+                inner = vec_add(p.apply(bi, unit(j)), p.apply(unit(i), bj), last)
                 record(label, (i, j), p.apply(bi, bj), b.apply(inner))
     alpha = _ref_intertwines("operator:alpha-commutation", b, A.alpha, A.alpha)
     return [alpha] + list(reports.items())

@@ -39,10 +39,17 @@ from algcheck import (
     OperatorClaim,
 )
 from algcheck.cli import main
-from algcheck.core import residual_direct, residual_from_basis, vec_is_zero, vec_scale
 from algcheck.grading import delta_from_multiplier
 
-from conftest import FIXTURES, load_fixture, three_dim
+from conftest import (
+    FIXTURES,
+    load_fixture,
+    residual_direct,
+    residual_from_basis,
+    three_dim,
+    vec_is_zero,
+    vec_scale,
+)
 
 ALL_FIXTURES = sorted(p.stem for p in FIXTURES.glob("*.json"))
 

@@ -244,3 +244,7 @@ class TestProductIndices:
     def test_integer_indices_accepted(self, rb2dim):
         p = BilinearProduct(rb2dim.basis, ((0, 0, 0, 1),))
         assert p.entries == ((0, 0, 0, F(1)),)
+
+    def test_pair_table_is_not_an_argument(self, rb2dim):
+        with pytest.raises(TypeError):
+            BilinearProduct(rb2dim.basis, ((0, 0, 0, 1),), {"junk": 1})

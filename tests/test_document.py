@@ -1,8 +1,12 @@
+import contextlib
+import copy
 import importlib.util
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algcheck import (
     DocumentError,
@@ -11,6 +15,7 @@ from algcheck import (
     parse_rational,
     serialize_document,
 )
+from algcheck.cli import main
 
 from conftest import FIXTURES, WRONG_TYPED_FIELDS, rb2dim_with
 
@@ -164,3 +169,54 @@ def test_generator_reproduces_fixtures(tmp_path, monkeypatch):
     assert made == sorted(p.name for p in FIXTURES.glob("*.json"))
     for name in made:
         assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on hostile documents: any JSON value at any path
+
+def _paths(node, path=()):
+    """Every path into a JSON value, the root included."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+FIXTURE_JSON = {name: json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+                for name in ALL_FIXTURES}
+SITES = [(name, path) for name, raw in FIXTURE_JSON.items() for path in _paths(raw)]
+HOSTILE = [
+    None, True, False, 0, 1, -1, 2**70, 1.5, "x", "1/0", "1/2",
+    [], [[]], [[], [[1]]], {}, {"matrix": [[1]]},
+    # product rows with bad indices
+    [0, 0, 99, "1"], [-1, 0, 0, "1"], [0, 0, 0.5, "1"], [True, 0, 0, "1"], ["0", 0, 0, "1"],
+]
+
+
+@given(st.sampled_from(SITES), st.sampled_from(HOSTILE))
+@settings(max_examples=1000, deadline=None)
+def test_hostile_values_keep_the_exit_code_contract(tmp_path_factory, site, value):
+    name, path = site
+    raw = copy.deepcopy(FIXTURE_JSON[name])
+    if path:
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    else:
+        raw = value
+    text = json.dumps(raw)
+    try:
+        parse_document(text)
+    except DocumentError:
+        return  # the only exception parse_document may raise
+    doc = tmp_path_factory.getbasetemp() / "hostile.json"
+    doc.write_text(text, encoding="utf-8")
+    for argv in (["validate", str(doc)], ["validate", "--commutative", "--json", str(doc)]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)

@@ -248,4 +248,6 @@ def test_scale_probe_runs_at_small_orders():
         assert all(t >= 0 for t in probe.sweep_seconds(order))
     with pytest.raises(ValueError):
         probe.sweep_seconds(12)
+    poisson, operators = probe.dimension_seconds(8)
+    assert poisson >= 0 and sorted(operators) == sorted(probe.KINDS)
     assert probe.cli_validate_seconds(rank=4) > 0

@@ -40,14 +40,6 @@ from algcheck import (
     validate_multiplier,
     xi_twist,
 )
-from algcheck.core import (
-    residual_direct,
-    residual_from_basis,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
-)
 
 from conftest import (
     load_fixture,
@@ -59,7 +51,13 @@ from conftest import (
     ref_bicharacter,
     ref_multiplier,
     ref_operator,
+    residual_direct,
+    residual_from_basis,
     three_dim,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+    vec_sub,
 )
 
 HOM_ASSOCIATIVE_FIXTURES = [
