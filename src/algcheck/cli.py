@@ -38,7 +38,7 @@ def _load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError("io", str(exc), path) from exc
     return parse_document(text)
 
@@ -185,8 +185,11 @@ def _write_result(doc, args, result):
     )
     text = serialize_document(out_doc)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DocumentError("io", str(exc), args.output) from exc
     else:
         sys.stdout.write(text)
 

@@ -16,9 +16,9 @@ reference is written with them alone.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from types import MappingProxyType
 
 from .errors import (
@@ -65,7 +65,6 @@ class EvenLinearMap:
 
     basis: GradedBasis
     matrix: tuple
-    _columns: tuple = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.basis.dim
@@ -80,10 +79,12 @@ class EvenLinearMap:
                         f"entry ({i},{j}) links degree {degs[j]} to {degs[i]}"
                     )
         object.__setattr__(self, "matrix", rows)
-        # column j as {i: c}, nonzero entries only
-        object.__setattr__(self, "_columns", tuple(
-            {i: rows[i][j] for i in range(n) if rows[i][j]} for j in range(n)
-        ))
+
+    @cached_property
+    def _columns(self):
+        """Column j as {i: c}, nonzero entries only."""
+        rows = self.matrix
+        return tuple({i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows)))
 
     @classmethod
     def identity(cls, basis):
@@ -164,13 +165,11 @@ class EvenLinearMap:
 class BilinearProduct:
     """Sparse structure constants: entries are (i, j, k, c) with
     e_i e_j = sum_k c e_k, sorted lexicographically, zero c dropped.
-    Indexed as the pair map (i, j) -> {k: c} and the row index
-    i -> [(j, ((k, c), ...))], both in entry order."""
+    Indexed once, on first use, as the row index i -> {j: {k: c}} in
+    entry order; every reader goes through it."""
 
     basis: GradedBasis
     entries: tuple
-    _table: dict = field(init=False, default=None, compare=False, repr=False)
-    _rows: dict = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.basis.dim
@@ -195,14 +194,13 @@ class BilinearProduct:
                 )
             clean.append((i, j, k, c))
         object.__setattr__(self, "entries", tuple(clean))
-        table = {}
-        for (i, j, k, c) in clean:
-            table.setdefault((i, j), {})[k] = c
+
+    @cached_property
+    def _rows(self):
         rows = {}
-        for (i, j), terms in table.items():
-            rows.setdefault(i, []).append((j, tuple(terms.items())))
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_rows", rows)
+        for (i, j, k, c) in self.entries:
+            rows.setdefault(i, {}).setdefault(j, {})[k] = c
+        return rows
 
     @classmethod
     def zero(cls, basis):
@@ -211,7 +209,7 @@ class BilinearProduct:
     def of_pair(self, i, j):
         n = self.basis.dim
         out = [ZERO] * n
-        for k, c in self._table.get((i, j), _EMPTY).items():
+        for k, c in _pair(self, i, j).items():
             out[k] += c
         return tuple(out)
 
@@ -221,12 +219,13 @@ class BilinearProduct:
         if len(x) != n or len(y) != n:
             raise ShapeError("vector length mismatch in product")
         out = [ZERO] * n
-        for (i, j), terms in self._table.items():
-            if not (x[i] and y[j]):
-                continue
-            f = x[i] * y[j]
-            for k, c in terms.items():
-                out[k] += f * c
+        for i, row in self._rows.items():
+            for j, terms in row.items():
+                if not (x[i] and y[j]):
+                    continue
+                f = x[i] * y[j]
+                for k, c in terms.items():
+                    out[k] += f * c
         return tuple(out)
 
 
@@ -246,6 +245,8 @@ class GradedAlgebra:
     def __post_init__(self):
         if self.mu is None and self.bracket is None:
             raise MissingComponentError("algebra must carry at least one product")
+        if self.alpha is None:
+            raise MissingComponentError("algebra has no alpha")
         if self.basis.group != self.group:
             raise ShapeError("basis group differs from algebra group")
         if self.epsilon.group != self.group:
@@ -260,9 +261,16 @@ class GradedAlgebra:
     def dim(self):
         return self.basis.dim
 
+    @cached_property
+    def _eps(self):
+        """Row i, column j is the commutation factor between the degrees
+        of basis indices i and j."""
+        degs, value = self.basis.degrees, self.epsilon.value
+        return tuple(tuple(value(a, b) for b in degs) for a in degs)
+
     def eps(self, i, j):
         """Commutation factor between the degrees of basis indices i, j."""
-        return self.epsilon.value(self.basis.degrees[i], self.basis.degrees[j])
+        return self._eps[i][j]
 
     def replace(self, **kw):
         data = dict(
@@ -285,12 +293,12 @@ def _product(p, x, y):
     acc = {}
     rows = p._rows
     for i, xi in x.items():
-        for j, terms in rows.get(i, ()):
+        for j, terms in rows.get(i, _EMPTY).items():
             yj = y.get(j)
             if yj is None:
                 continue
             f = xi * yj
-            for k, c in terms:
+            for k, c in terms.items():
                 acc[k] = acc[k] + f * c if k in acc else f * c
     return _nonzero(acc)
 
@@ -316,7 +324,7 @@ def _combined(*terms):
 
 def _pair(p, i, j):
     """p(e_i, e_j), read-only."""
-    return p._table.get((i, j), _EMPTY)
+    return p._rows.get(i, _EMPTY).get(j, _EMPTY)
 
 
 def _dense(v, n):
@@ -338,21 +346,13 @@ def _require(A, *names):
             raise MissingComponentError(f"algebra has no {name}")
 
 
-def _context(A):
-    """Built once per sweep: alpha's sparse columns and eps[i][j] = eps(i, j)."""
-    n = A.dim
-    return A.alpha._columns, tuple(tuple(A.eps(i, j) for j in range(n)) for i in range(n))
-
-
-def _assoc_residual(A, ctx, i, j, k):
-    a, _ = ctx
-    mu = A.mu
+def _assoc_residual(A, i, j, k):
+    a, mu = A.alpha._columns, A.mu
     return _product(mu, a[i], _pair(mu, j, k)), _product(mu, _pair(mu, i, j), a[k])
 
 
-def _jacobi_residual(A, ctx, i, j, k):
-    a, eps = ctx
-    br = A.bracket
+def _jacobi_residual(A, i, j, k):
+    a, eps, br = A.alpha._columns, A._eps, A.bracket
     lhs = _combined(
         (eps[k][i], _product(br, a[i], _pair(br, j, k))),
         (eps[i][j], _product(br, a[j], _pair(br, k, i))),
@@ -361,9 +361,8 @@ def _jacobi_residual(A, ctx, i, j, k):
     return lhs, {}
 
 
-def _leibniz_residual(A, ctx, i, j, k):
-    a, eps = ctx
-    mu, br = A.mu, A.bracket
+def _leibniz_residual(A, i, j, k):
+    a, eps, mu, br = A.alpha._columns, A._eps, A.mu, A.bracket
     lhs = _product(br, a[i], _pair(mu, j, k))
     rhs = _combined(
         (ONE, _product(mu, _pair(br, i, j), a[k])),
@@ -384,7 +383,7 @@ def _sweep(label, n, arity, residual):
         lhs, rhs = residual(*idx)
         if lhs != rhs:
             rep.record(idx, _dense(lhs, n), _dense(rhs, n))
-    return rep.finish()
+    return rep
 
 
 def _intertwines(label, f, src_alpha, dst_alpha):
@@ -394,8 +393,8 @@ def _intertwines(label, f, src_alpha, dst_alpha):
 
 
 def check_hom_associative(A):
-    _require(A, "mu", "alpha")
-    return _sweep("hom-associativity", A.dim, 3, partial(_assoc_residual, A, _context(A)))
+    _require(A, "mu")
+    return _sweep("hom-associativity", A.dim, 3, partial(_assoc_residual, A))
 
 
 def check_epsilon_commutative(A):
@@ -406,20 +405,20 @@ def check_epsilon_commutative(A):
 
 
 def check_hom_lie(A):
-    _require(A, "bracket", "alpha")
+    _require(A, "bracket")
     br = A.bracket
     skew = _sweep("epsilon-skew-symmetry", A.dim, 2,
                   lambda i, j: (_pair(br, i, j), _combined((-A.eps(i, j), _pair(br, j, i)))))
-    return [skew, _sweep("hom-jacobi", A.dim, 3, partial(_jacobi_residual, A, _context(A)))]
+    return [skew, _sweep("hom-jacobi", A.dim, 3, partial(_jacobi_residual, A))]
 
 
 def check_hom_leibniz(A):
-    _require(A, "mu", "bracket", "alpha")
-    return _sweep("hom-leibniz", A.dim, 3, partial(_leibniz_residual, A, _context(A)))
+    _require(A, "mu", "bracket")
+    return _sweep("hom-leibniz", A.dim, 3, partial(_leibniz_residual, A))
 
 
 def check_hom_poisson(A, commutative=False):
-    _require(A, "mu", "bracket", "alpha")
+    _require(A, "mu", "bracket")
     reports = [check_hom_associative(A)]
     reports.extend(check_hom_lie(A))
     reports.append(check_hom_leibniz(A))
@@ -431,7 +430,7 @@ def check_hom_poisson(A, commutative=False):
 def commutator_bracket(A):
     """Extend A with the commutator bracket mu - eps * mu^op.  Rejects
     non-Hom-associative inputs with the offending report."""
-    _require(A, "mu", "alpha")
+    _require(A, "mu")
     gate = check_hom_associative(A)
     if not gate.ok:
         raise HypothesisError("commutator bracket requires a Hom-associative product", [gate])

@@ -31,11 +31,14 @@ def parse_rational(value, location=None):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL.match(value):
         num, _, den = value.partition("/")
-        if den:
-            if int(den) == 0:
-                raise DocumentError("zero-denominator", f"zero denominator in {value!r}", location)
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:  # more digits than int() converts
+            raise DocumentError("bad-rational", f"too many digits in a {len(value)}-character rational",
+                                location) from None
+        if den == 0:
+            raise DocumentError("zero-denominator", f"zero denominator in {value!r}", location)
+        return Fraction(num, den)
     raise DocumentError("bad-rational", f"not an exact rational: {value!r}", location)
 
 
@@ -122,7 +125,7 @@ def _product(basis, triples, location):
 def parse_document(text):
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise DocumentError("malformed-json", str(exc)) from exc
     if not isinstance(raw, dict):
         raise DocumentError("malformed-json", "document must be a JSON object")

@@ -8,9 +8,10 @@ group) and general commutation factors are stored as full |G| x |G|
 tables of nonzero rationals in the canonical lexicographic element order.
 
 The group laws run on element indices, not coordinate tuples.  A group
-caches its element list and its addition table (index of a + b, for the
-indices of a and b) on first use, and every commutation factor exposes
-one value table indexed the same way (`_table()`).  A law is swept one
+derives its element tuple (`_els`) and its addition table (`_sums`: the
+index of a + b, for the indices of a and b), and every commutation
+factor one value table indexed the same way (`_table`); each is a
+property of the object's fields, built at most once.  A law is swept one
 row at a time: for fixed indices (x, y), the values over every z are
 built as lists and compared at once, and only a row that disagrees is
 scanned for the z that fail.  Index order is lexicographic element
@@ -24,8 +25,9 @@ A sign bicharacter needs no sweep but the skew-symmetry pairs (see
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvalidRepresentationError, ShapeError
 from .report import AxiomReport
@@ -64,14 +66,9 @@ def group_order_bound():
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A finite abelian group given as a product of cyclic factors.
-
-    The element list and the addition table on element indices are built
-    on first use and cached; they take no part in equality, hash or repr."""
+    """A finite abelian group given as a product of cyclic factors."""
 
     moduli: tuple
-    _elements: tuple = field(init=False, default=None, compare=False, repr=False)
-    _sums: tuple = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "moduli", _integers(self.moduli, "cyclic factor sizes"))
@@ -114,7 +111,7 @@ class GroupSpec:
 
     def elements(self):
         """All elements in canonical (lexicographic) order."""
-        return list(self._els())
+        return list(self._els)
 
     def index(self, a):
         i = 0
@@ -122,25 +119,23 @@ class GroupSpec:
             i = i * m + c
         return i
 
+    @cached_property
     def _els(self):
-        """The cached element tuple: element i is the one with index(a) == i."""
-        if self._elements is None:
-            object.__setattr__(self, "_elements", tuple(itertools.product(*map(range, self.moduli))))
-        return self._elements
+        """The element tuple: element i is the one with index(a) == i."""
+        return tuple(itertools.product(*map(range, self.moduli)))
 
-    def _sum_table(self):
-        """The cached addition table: row i, column j is the index of
-        element i + element j.  Built one cyclic factor at a time: with
+    @cached_property
+    def _sums(self):
+        """The addition table: row i, column j is the index of element
+        i + element j.  Built one cyclic factor at a time: with
         G = H x Z_m, (h, c) has index h*m + c and (h, c) + (h', c') is
         (h + h', (c + c') mod m)."""
-        if self._sums is None:
-            sums = ((0,),)
-            for m in self.moduli:
-                cyclic = [[(c + d) % m for d in range(m)] for c in range(m)]
-                sums = tuple(tuple(s * m + t for s in row for t in cyclic[c])
-                             for row in sums for c in range(m))
-            object.__setattr__(self, "_sums", sums)
-        return self._sums
+        sums = ((0,),)
+        for m in self.moduli:
+            cyclic = [[(c + d) % m for d in range(m)] for c in range(m)]
+            sums = tuple(tuple(s * m + t for s in row for t in cyclic[c])
+                         for row in sums for c in range(m))
+        return sums
 
 
 def _forms(group, matrix):
@@ -148,7 +143,7 @@ def _forms(group, matrix):
     its coordinates and the bitmask of a^T M mod 2 (M a 0/1 matrix)."""
     rows = [sum(1 << j for j, x in enumerate(row) if x) for row in matrix]
     out = []
-    for a in group._els():
+    for a in group._els:
         bits = form = 0
         for i, c in enumerate(a):
             if c & 1:
@@ -164,7 +159,6 @@ class SignBicharacter:
 
     group: GroupSpec
     matrix: tuple
-    _values: tuple = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         r = self.group.rank
@@ -195,16 +189,15 @@ class SignBicharacter:
     def value(self, a, b):
         return MINUS_ONE if self.exponent(a, b) else ONE
 
+    @cached_property
     def _table(self):
-        """The cached value table: row i, column j is value(element i,
-        element j), read off the parity of (a^T E) & b."""
-        if self._values is None:
-            forms = _forms(self.group, self.matrix)
-            object.__setattr__(self, "_values", tuple(
-                tuple(MINUS_ONE if (form & bits).bit_count() & 1 else ONE for bits, _ in forms)
-                for _, form in forms
-            ))
-        return self._values
+        """The value table: row i, column j is value(element i, element j),
+        read off the parity of (a^T E) & b."""
+        forms = _forms(self.group, self.matrix)
+        return tuple(
+            tuple(MINUS_ONE if (form & bits).bit_count() & 1 else ONE for bits, _ in forms)
+            for _, form in forms
+        )
 
 
 @dataclass(frozen=True)
@@ -242,6 +235,7 @@ class MultiplierTable:
     def value(self, a, b):
         return self.values[self.group.index(a)][self.group.index(b)]
 
+    @property
     def _table(self):
         """The value table on element indices: the stored rows."""
         return self.values
@@ -259,7 +253,7 @@ def _row_sweep(label, n, sides, exact):
                 for z in range(n):
                     if any(r[z] != first[z] for r in rest):
                         rep.record(*exact(x, y, z))
-    return rep.finish()
+    return rep
 
 
 def validate_bicharacter(e):
@@ -285,14 +279,14 @@ def validate_bicharacter(e):
         )
     skew_form = tuple(tuple(x ^ y for x, y in zip(row, col))
                       for row, col in zip(e.matrix, zip(*e.matrix)))
-    els, forms = e.group._els(), _forms(e.group, skew_form)
+    els, forms = e.group._els, _forms(e.group, skew_form)
     skew = AxiomReport("bicharacter:skew-symmetry")
     for a, (_, form) in zip(els, forms):
         if form:
             for b, (bits, _) in zip(els, forms):
                 if (form & bits).bit_count() & 1:
                     skew.record((a, b), (MINUS_ONE,), (ONE,))
-    return [skew.finish()] + [AxiomReport(f"bicharacter:{law}") for law in (
+    return [skew] + [AxiomReport(f"bicharacter:{law}") for law in (
         "additivity-left", "additivity-right", "identity-element", "diagonal-sign")]
 
 
@@ -304,7 +298,7 @@ def validate_bicharacter_table(t):
     Fraction values; the additivity laws are swept a row at a time over
     the index tables."""
     g = t.group
-    els, sums, val = g._els(), g._sum_table(), t._table()
+    els, sums, val = g._els, g._sums, t._table
     skew, unit, diag = (AxiomReport(f"bicharacter:{law}")
                         for law in ("skew-symmetry", "identity-element", "diagonal-sign"))
     for a, ea in enumerate(els):
@@ -329,7 +323,7 @@ def validate_bicharacter_table(t):
         lambda a, b: (val[sums[a][b]], [x * y for x, y in zip(val[a], val[b])]),
         lambda a, b, c: ((els[a], els[b], els[c]), (val[sums[a][b]][c],),
                          (val[a][c] * val[b][c],)))
-    return [skew.finish(), left, right, unit.finish(), diag.finish()]
+    return [skew, left, right, unit, diag]
 
 
 def validate_multiplier(s, symmetric=False):
@@ -343,7 +337,7 @@ def validate_multiplier(s, symmetric=False):
     index tables.  A violation is recorded with the element tuples and
     the products of the original Fraction values."""
     g = s.group
-    els, sums, val = g._els(), g._sum_table(), s._table()
+    els, sums, val = g._els, g._sums, s._table
     n = g.order
     d = math.lcm(*(x.denominator for row in val for x in row))
     ints = [[x.numerator * (d // x.denominator) for x in row] for row in val]
@@ -382,7 +376,7 @@ def validate_multiplier(s, symmetric=False):
 
 def delta_from_multiplier(s):
     """delta(x, y) = s(x, y) / s(y, x), the bicharacter associated with s."""
-    val = s._table()
+    val = s._table
     return MultiplierTable(s.group, tuple(tuple(a / b for a, b in zip(row, col))
                                           for row, col in zip(val, zip(*val))))
 
@@ -392,4 +386,4 @@ def twist_epsilon(e, d):
     if e.group != d.group:
         raise ShapeError("commutation factors live on different groups")
     return MultiplierTable(e.group, tuple(tuple(a * b for a, b in zip(ra, rb))
-                                          for ra, rb in zip(e._table(), d._table())))
+                                          for ra, rb in zip(e._table, d._table)))

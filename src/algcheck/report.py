@@ -7,12 +7,6 @@ tuple, which by multilinearity certifies it on the whole algebra.
 from dataclasses import dataclass, field
 
 
-def _tup(value):
-    if isinstance(value, (tuple, list)):
-        return tuple(value)
-    return (value,)
-
-
 @dataclass(frozen=True)
 class Violation:
     indices: tuple
@@ -30,12 +24,7 @@ class AxiomReport:
         return not self.violations
 
     def record(self, indices, lhs, rhs):
-        self.violations.append(Violation(tuple(indices), _tup(lhs), _tup(rhs)))
-
-    def finish(self):
-        # deterministic order regardless of sweep partitioning
-        self.violations.sort(key=lambda v: v.indices)
-        return self
+        self.violations.append(Violation(tuple(indices), tuple(lhs), tuple(rhs)))
 
     def render(self, full=False):
         if self.ok:

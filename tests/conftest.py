@@ -19,7 +19,6 @@ from algcheck.core import (
     ONE,
     ZERO,
     _assoc_residual,
-    _context,
     _dense,
     _jacobi_residual,
     _leibniz_residual,
@@ -187,7 +186,6 @@ def residual_from_basis(A, axiom, vectors):
     if len(vectors) != arity:
         raise ShapeError(f"{axiom} takes {arity} vectors")
     n = A.dim
-    ctx = _context(A)
     out = [ZERO] * n
     for idx in itertools.product(range(n), repeat=arity):
         coeff = ONE
@@ -195,7 +193,7 @@ def residual_from_basis(A, axiom, vectors):
             coeff *= v[i]
         if coeff == 0:
             continue
-        lhs, rhs = (_dense(v, n) for v in fn(A, ctx, *idx))
+        lhs, rhs = (_dense(v, n) for v in fn(A, *idx))
         for k in range(n):
             out[k] += coeff * (lhs[k] - rhs[k])
     return tuple(out)

@@ -69,6 +69,8 @@ def test_missing_component_errors(example3):
         check_hom_lie(no_bracket)
     with pytest.raises(MissingComponentError):
         check_hom_leibniz(no_bracket)
+    with pytest.raises(MissingComponentError):
+        example3.replace(alpha=None)
 
 
 class TestEpsilonCommutative:

@@ -220,3 +220,37 @@ def test_hostile_values_keep_the_exit_code_contract(tmp_path_factory, site, valu
     for argv in (["validate", str(doc)], ["validate", "--commutative", "--json", str(doc)]):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on files that cannot be read or written: each of these
+# used to end in a traceback under exit 1
+
+TOO_MANY_DIGITS = "1" + "0" * 5000  # more digits than int() converts from a string
+TRANSPORT = ["twist", str(FIXTURES / "rb2dim_poisson.json"),
+             "--construction", "transport", "--operator", "Id", "-o"]
+
+
+def _written(tmp_path, data):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(lambda d: ["validate", _written(d, b"\xff\xfe{")], id="not-utf8"),
+    pytest.param(lambda d: ["validate", _written(d, "[" * 200000)], id="deep-nesting"),
+    pytest.param(lambda d: ["validate", _written(d, json.dumps(rb2dim_with(("group", "moduli"), ["N"]))
+                                                 .replace('"N"', "9" * 5000))], id="long-json-integer"),
+    pytest.param(lambda d: ["validate", _written(d, json.dumps(rb2dim_with(("alpha", 0, 0), TOO_MANY_DIGITS)))],
+                 id="long-rational"),
+    pytest.param(lambda d: ["check-operator", str(FIXTURES / "rb2dim.json"), "--name", "R",
+                            "--kind", "rota-baxter", "--weight", TOO_MANY_DIGITS], id="long-weight"),
+    pytest.param(lambda d: TRANSPORT + [str(d / "missing" / "out.json")], id="output-in-missing-dir"),
+    pytest.param(lambda d: TRANSPORT + [str(d)], id="output-is-a-dir"),
+])
+def test_unreadable_input_and_unwritable_output_exit_2(tmp_path, argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv(tmp_path)) == 2
+    assert "Traceback" not in err.getvalue() and err.getvalue().startswith("error: ")

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import pathlib
 from fractions import Fraction as F
@@ -5,12 +6,16 @@ from fractions import Fraction as F
 import pytest
 
 from algcheck import (
+    BilinearProduct,
+    EvenLinearMap,
+    GradedAlgebra,
     GroupSpec,
     InvalidRepresentationError,
     MultiplierTable,
     ShapeError,
     SignBicharacter,
     all_ok,
+    check_hom_poisson,
     delta_from_multiplier,
     twist_epsilon,
     validate_bicharacter,
@@ -18,7 +23,7 @@ from algcheck import (
     validate_multiplier,
 )
 
-from conftest import ref_bicharacter
+from conftest import load_fixture, ref_bicharacter
 
 Z2SQ = GroupSpec((2, 2))
 Z4 = GroupSpec((4,))
@@ -123,7 +128,7 @@ class TestClosedForm:
         e = SignBicharacter(g, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
         with pytest.raises(InvalidRepresentationError):
             validate_bicharacter(e)
-        assert g._elements is None and g._sums is None
+        assert "_els" not in vars(g) and "_sums" not in vars(g)
 
     def test_non_skew_matrix_fails_at_the_reference_pairs(self):
         g = GroupSpec((4, 2))
@@ -136,7 +141,7 @@ class TestClosedForm:
         assert [v.indices for v in skew.violations] == [
             (a, b) for a in g.elements() for b in g.elements() if (a[0] * b[1] + a[1] * b[0]) % 2]
         assert all(r.ok for r in rest)
-        assert g._sums is None  # the sign path never needs the addition table
+        assert "_sums" not in vars(g)  # the sign path never needs the addition table
 
     @pytest.mark.parametrize("moduli", [(), (1,), (1, 1), (1, 2, 1)])
     def test_trivial_factors_give_five_empty_reports(self, moduli):
@@ -151,19 +156,31 @@ class TestClosedForm:
     def test_group_identity_ignores_cached_tables(self):
         warm, cold = GroupSpec((2, 3)), GroupSpec((2, 3))
         validate_multiplier(MultiplierTable.constant(warm, 1))
-        assert warm._elements is not None and warm._sums is not None
-        assert cold._elements is None and cold._sums is None
+        assert {"_els", "_sums"} <= vars(warm).keys()
+        assert not {"_els", "_sums"} & vars(cold).keys()
         assert warm == cold and hash(warm) == hash(cold)
         assert repr(warm) == repr(cold) == "GroupSpec(moduli=(2, 3))"
         e = SignBicharacter(warm, ((1, 0), (0, 0)))
-        e._table()
+        e._table
         assert e == SignBicharacter(cold, ((1, 0), (0, 0)))
         assert hash(e) == hash(SignBicharacter(cold, ((1, 0), (0, 0))))
+        # the same for the algebra layer, after a full Hom-Poisson sweep
+        warm, cold = load_fixture("example3_corrected").algebra, load_fixture("example3_corrected").algebra
+        assert all_ok(check_hom_poisson(warm))
+        for w, c, cache in [(warm, cold, "_eps"), (warm.alpha, cold.alpha, "_columns"),
+                            (warm.mu, cold.mu, "_rows"), (warm.bracket, cold.bracket, "_rows")]:
+            assert cache in vars(w) and cache not in vars(c)
+            assert w == c and hash(w) == hash(c) and repr(w) == repr(c)
+        inputs = {GroupSpec: ["moduli"], SignBicharacter: ["group", "matrix"],
+                  EvenLinearMap: ["basis", "matrix"], BilinearProduct: ["basis", "entries"],
+                  GradedAlgebra: ["group", "epsilon", "basis", "mu", "bracket", "alpha"]}
+        for cls, names in inputs.items():
+            assert [f.name for f in dataclasses.fields(cls)] == names
 
     def test_sum_table_matches_add(self):
         g = GroupSpec((2, 3, 4))
         els = g.elements()
-        assert [[els[k] for k in row] for row in g._sum_table()] == [
+        assert [[els[k] for k in row] for row in g._sums] == [
             [g.add(a, b) for b in els] for a in els]
 
 
