@@ -7,17 +7,9 @@ Exit codes: 0 all checks pass, 1 an axiom or hypothesis gate failed,
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import constructions
-from .core import (
-    EvenLinearMap,
-    check_epsilon_commutative,
-    check_hom_associative,
-    check_hom_leibniz,
-    check_hom_lie,
-    check_morphism,
-)
+from .core import EvenLinearMap, _axioms, check_morphism
 from .document import AlgebraDocument, parse_document, parse_rational, serialize_document
 from .errors import AlgcheckError, DocumentError, HypothesisError
 from .grading import (
@@ -65,15 +57,7 @@ def _validation_reports(doc, commutative=False):
         for r in validate_multiplier(table):
             r.axiom = f"{name}:{r.axiom}"
             reports.append(r)
-    if alg.mu is not None:
-        reports.append(check_hom_associative(alg))
-        if commutative:
-            reports.append(check_epsilon_commutative(alg))
-    if alg.bracket is not None:
-        reports.extend(check_hom_lie(alg))
-    if alg.mu is not None and alg.bracket is not None:
-        reports.append(check_hom_leibniz(alg))
-    return reports
+    return reports + _axioms(alg, commutative)
 
 
 def cmd_validate(args):

@@ -21,6 +21,7 @@ from .core import (
     GradedAlgebra,
     GradedBasis,
     _combined,
+    _gate,
     _mapped,
     _pair,
     _product,
@@ -58,12 +59,6 @@ class ConstructionResult:
     @property
     def reports(self):
         return list(self.certification) + list(self.morphism) + list(self.findings)
-
-
-def _gate(reports, message):
-    bad = [r for r in reports if not r.ok]
-    if bad:
-        raise HypothesisError(message, bad)
 
 
 def _rebuilt(P, product, names=("mu", "bracket"), **replace):
@@ -250,7 +245,7 @@ def tensor_with_commutative(A, P):
     up the sign eps(deg x, deg b)."""
     if A.group != P.group:
         raise IncompatibilityError("tensor factors have different grading groups")
-    if not _factors_equal(A.epsilon, P.epsilon):
+    if A.epsilon._table != P.epsilon._table:
         raise IncompatibilityError("tensor factors have different commutation factors")
     _gate([check_hom_associative(A), check_epsilon_commutative(A)],
           "left factor is not a commutative Hom-associative color algebra")
@@ -281,9 +276,3 @@ def tensor_with_commutative(A, P):
 
     out = _rebuilt(P, tensor, basis=basis, alpha=alpha)
     return ConstructionResult(out, certification=check_hom_poisson(out))
-
-
-def _factors_equal(e1, e2):
-    if type(e1) is type(e2) and e1 == e2:
-        return True
-    return e1.group == e2.group and e1._table == e2._table

@@ -15,6 +15,7 @@ and `column` methods work on dense tuples; the test suite's dense
 reference is written with them alone.
 """
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -273,12 +274,7 @@ class GradedAlgebra:
         return self._eps[i][j]
 
     def replace(self, **kw):
-        data = dict(
-            group=self.group, epsilon=self.epsilon, basis=self.basis,
-            mu=self.mu, bracket=self.bracket, alpha=self.alpha,
-        )
-        data.update(kw)
-        return GradedAlgebra(**data)
+        return dataclasses.replace(self, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +340,13 @@ def _require(A, *names):
     for name in names:
         if getattr(A, name) is None:
             raise MissingComponentError(f"algebra has no {name}")
+
+
+def _gate(reports, message):
+    """Raise HypothesisError(message) with the reports that failed, if any."""
+    bad = [r for r in reports if not r.ok]
+    if bad:
+        raise HypothesisError(message, bad)
 
 
 def _assoc_residual(A, i, j, k):
@@ -417,23 +420,32 @@ def check_hom_leibniz(A):
     return _sweep("hom-leibniz", A.dim, 3, partial(_leibniz_residual, A))
 
 
-def check_hom_poisson(A, commutative=False):
-    _require(A, "mu", "bracket")
-    reports = [check_hom_associative(A)]
-    reports.extend(check_hom_lie(A))
-    reports.append(check_hom_leibniz(A))
-    if commutative:
-        reports.append(check_epsilon_commutative(A))
+def _axioms(A, commutative=False):
+    """The product axioms that apply to A, in report order:
+    Hom-associativity and, if asked for, eps-commutativity when A carries
+    mu; eps-skew-symmetry and the Hom-Jacobi identity when it carries a
+    bracket; the Hom-Leibniz rule when it carries both."""
+    reports = []
+    if A.mu is not None:
+        reports.append(check_hom_associative(A))
+        if commutative:
+            reports.append(check_epsilon_commutative(A))
+    if A.bracket is not None:
+        reports.extend(check_hom_lie(A))
+        if A.mu is not None:
+            reports.append(check_hom_leibniz(A))
     return reports
+
+
+def check_hom_poisson(A):
+    _require(A, "mu", "bracket")
+    return _axioms(A)
 
 
 def commutator_bracket(A):
     """Extend A with the commutator bracket mu - eps * mu^op.  Rejects
     non-Hom-associative inputs with the offending report."""
-    _require(A, "mu")
-    gate = check_hom_associative(A)
-    if not gate.ok:
-        raise HypothesisError("commutator bracket requires a Hom-associative product", [gate])
+    _gate([check_hom_associative(A)], "commutator bracket requires a Hom-associative product")
     mu = A.mu
     return A.replace(bracket=_tabulated(A.basis, lambda i, j: _combined(
         (ONE, _pair(mu, i, j)), (-A.eps(i, j), _pair(mu, j, i)))))

@@ -20,6 +20,7 @@ from .errors import (
     ShapeError,
 )
 from .grading import GroupSpec, MultiplierTable, SignBicharacter
+from .report import _text
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -43,7 +44,7 @@ def parse_rational(value, location=None):
 
 
 def format_rational(x):
-    return str(Fraction(x))
+    return _text(Fraction(x))
 
 
 @dataclass

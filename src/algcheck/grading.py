@@ -10,16 +10,17 @@ tables of nonzero rationals in the canonical lexicographic element order.
 The group laws run on element indices, not coordinate tuples.  A group
 derives its element tuple (`_els`) and its addition table (`_sums`: the
 index of a + b, for the indices of a and b), and every commutation
-factor one value table indexed the same way (`_table`); each is a
-property of the object's fields, built at most once.  A law is swept one
-row at a time: for fixed indices (x, y), the values over every z are
-built as lists and compared at once, and only a row that disagrees is
-scanned for the z that fail.  Index order is lexicographic element
-order, so violations come out in the order the tuple loops gave them,
-mapped back to element tuples and to the table's own Fraction values.
-A sign bicharacter needs no sweep but the skew-symmetry pairs (see
-`validate_bicharacter`); multiplier laws compare integers (see
-`validate_multiplier`).
+factor one value table indexed the same way (`_table`), which its
+`value` reads; each is a property of the object's fields, built at most
+once.  A law is swept one row at a time: for fixed indices (x, y), the
+values over every z are built as lists and compared at once, and only a
+row that disagrees is scanned for the z that fail.  Index order is
+lexicographic element order, so violations come out in the order the
+tuple loops gave them, mapped back to element tuples and to the table's
+own Fraction values.  A sign bicharacter needs no sweep but the
+skew-symmetry pairs (see `validate_bicharacter`); multiplier and table
+laws compare integers (see `validate_multiplier` and
+`validate_bicharacter_table`).
 """
 
 import itertools
@@ -153,6 +154,12 @@ def _forms(group, matrix):
     return out
 
 
+def _value(factor, a, b):
+    """eps(a, b), read off the factor's value table: `value` on both factor classes."""
+    index = factor.group.index
+    return factor._table[index(a)][index(b)]
+
+
 @dataclass(frozen=True)
 class SignBicharacter:
     """{-1, +1}-valued bicharacter given by a mod-2 exponent matrix."""
@@ -179,20 +186,12 @@ class SignBicharacter:
                     return False
         return True
 
-    def exponent(self, a, b):
-        return sum(
-            a[i] * self.matrix[i][j] * b[j]
-            for i in range(self.group.rank)
-            for j in range(self.group.rank)
-        ) % 2
-
-    def value(self, a, b):
-        return MINUS_ONE if self.exponent(a, b) else ONE
+    value = _value
 
     @cached_property
     def _table(self):
-        """The value table: row i, column j is value(element i, element j),
-        read off the parity of (a^T E) & b."""
+        """The value table: row i, column j is (-1)^(a^T E b) for a, b
+        elements i and j, read off the parity of (a^T E) & b."""
         forms = _forms(self.group, self.matrix)
         return tuple(
             tuple(MINUS_ONE if (form & bits).bit_count() & 1 else ONE for bits, _ in forms)
@@ -232,8 +231,7 @@ class MultiplierTable:
         c = _rational(c, "multiplier constant")
         return cls.from_function(group, lambda a, b: c)
 
-    def value(self, a, b):
-        return self.values[self.group.index(a)][self.group.index(b)]
+    value = _value
 
     @property
     def _table(self):
@@ -290,15 +288,24 @@ def validate_bicharacter(e):
         "additivity-left", "additivity-right", "identity-element", "diagonal-sign")]
 
 
+def _cleared(table):
+    """D, the lcm of the table's denominators, and the rows of D * table as ints."""
+    d = math.lcm(*(x.denominator for row in table for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in table]
+
+
 def validate_bicharacter_table(t):
     """The same exhaustive bicharacter laws for a rational-valued table
     (used to certify the delta of a multiplier, and products of factors).
 
-    These laws are not homogeneous in t, so they compare the table's
-    Fraction values; the additivity laws are swept a row at a time over
-    the index tables."""
+    The additivity laws are not homogeneous in t, but with D the lcm of
+    its denominators and T = D*t, eps(a, b+c) = eps(a, b) eps(a, c) holds
+    exactly when D*T(a, b+c) = T(a, b) T(a, c), and likewise on the right.
+    So both are swept a row at a time on the ints of T; a violation is
+    recorded with the table's own Fraction values."""
     g = t.group
     els, sums, val = g._els, g._sums, t._table
+    d, ints = _cleared(val)
     skew, unit, diag = (AxiomReport(f"bicharacter:{law}")
                         for law in ("skew-symmetry", "identity-element", "diagonal-sign"))
     for a, ea in enumerate(els):
@@ -314,13 +321,13 @@ def validate_bicharacter_table(t):
     # eps(a, b + c) = eps(a, b) eps(a, c)
     left = _row_sweep(
         "bicharacter:additivity-left", n,
-        lambda a, b: ([val[a][k] for k in sums[b]], [val[a][b] * x for x in val[a]]),
+        lambda a, b: ([d * ints[a][k] for k in sums[b]], [ints[a][b] * x for x in ints[a]]),
         lambda a, b, c: ((els[a], els[b], els[c]), (val[a][sums[b][c]],),
                          (val[a][b] * val[a][c],)))
     # eps(a + b, c) = eps(a, c) eps(b, c)
     right = _row_sweep(
         "bicharacter:additivity-right", n,
-        lambda a, b: (val[sums[a][b]], [x * y for x, y in zip(val[a], val[b])]),
+        lambda a, b: ([d * x for x in ints[sums[a][b]]], [x * y for x, y in zip(ints[a], ints[b])]),
         lambda a, b, c: ((els[a], els[b], els[c]), (val[sums[a][b]][c],),
                          (val[a][c] * val[b][c],)))
     return [skew, left, right, unit, diag]
@@ -339,8 +346,7 @@ def validate_multiplier(s, symmetric=False):
     g = s.group
     els, sums, val = g._els, g._sums, s._table
     n = g.order
-    d = math.lcm(*(x.denominator for row in val for x in row))
-    ints = [[x.numerator * (d // x.denominator) for x in row] for row in val]
+    _, ints = _cleared(val)
 
     def after(x, y):
         # s(x, y + z) s(y, z) over z

@@ -13,20 +13,16 @@ from .core import (
     ONE,
     EvenLinearMap,
     _combined,
+    _gate,
     _intertwines,
     _mapped,
     _pair,
     _product,
+    _require,
     _sweep,
     commutator_bracket,
 )
-from .errors import (
-    HypothesisError,
-    InvalidRepresentationError,
-    MissingComponentError,
-    SearchSpaceError,
-    ShapeError,
-)
+from .errors import InvalidRepresentationError, SearchSpaceError, ShapeError
 from .grading import _rational
 from .report import all_ok
 
@@ -100,8 +96,7 @@ def check_operator(A, claim, products="all"):
     if products == "all":
         names = [n for n in ("mu", "bracket") if getattr(A, n) is not None]
     elif products in ("mu", "bracket"):
-        if getattr(A, products) is None:
-            raise MissingComponentError(f"algebra has no {products}")
+        _require(A, products)
         names = [products]
     else:
         raise ShapeError(f"unknown product selector {products!r}")
@@ -115,9 +110,8 @@ def check_operator(A, claim, products="all"):
 def check_nijenhuis_transfer(A, N):
     """Gate: N is Nijenhuis for mu.  Then build the commutator bracket and
     check that N is Nijenhuis for the bracket as well."""
-    gate = check_operator(A, OperatorClaim(N, "nijenhuis"), products="mu")
-    if not all_ok(gate):
-        raise HypothesisError("map is not a Nijenhuis operator for the product", gate)
+    _gate(check_operator(A, OperatorClaim(N, "nijenhuis"), products="mu"),
+          "map is not a Nijenhuis operator for the product")
     P = commutator_bracket(A)
     return check_operator(P, OperatorClaim(N, "nijenhuis"), products="bracket")
 

@@ -6,6 +6,8 @@ tuple, which by multilinearity certifies it on the whole algebra.
 
 from dataclasses import dataclass, field
 
+from .errors import InvalidRepresentationError
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -46,16 +48,25 @@ class AxiomReport:
             "violations": [
                 {
                     "indices": list(v.indices),
-                    "lhs": [str(x) for x in v.lhs],
-                    "rhs": [str(x) for x in v.rhs],
+                    "lhs": [_text(x) for x in v.lhs],
+                    "rhs": [_text(x) for x in v.rhs],
                 }
                 for v in self.violations
             ],
         }
 
 
+def _text(x):
+    """str(x) for a Fraction x; the ValueError str raises past Python's
+    int-to-string digit limit becomes an InvalidRepresentationError."""
+    try:
+        return str(x)
+    except ValueError:
+        raise InvalidRepresentationError("a rational has too many digits to write") from None
+
+
 def _fmt(values):
-    return "(" + ", ".join(map(str, values)) + ")"
+    return "(" + ", ".join(map(_text, values)) + ")"
 
 
 def all_ok(reports):

@@ -107,6 +107,23 @@ def diff4():
 # (lhs, rhs) formula on arbitrary vectors, through the public apply, of_pair
 # and column only.  The commutation factor is read per homogeneous component.
 
+def ref_value(factor):
+    """The factor's value function.  A sign bicharacter's is computed from
+    its exponent matrix as (-1)^(a^T E b), independently of the value table
+    the library reads; a rational table's is its own `value`."""
+    if not isinstance(factor, SignBicharacter):
+        return factor.value
+    E = factor.matrix
+    return lambda a, b: F(-1) ** (sum(x * e * y for x, row in zip(a, E)
+                                      for e, y in zip(row, b)) % 2)
+
+
+def ref_eps(A, i, j):
+    """The commutation factor between the degrees of basis indices i, j."""
+    degs = A.basis.degrees
+    return ref_value(A.epsilon)(degs[i], degs[j])
+
+
 def vec_add(*vs):
     return tuple(sum(col) for col in zip(*vs))
 
@@ -147,7 +164,7 @@ def associativity(A, x, y, z):
 
 def jacobi(A, x, y, z):
     """The cyclic sum of eps(c, a) [alpha(a), [b, c]] over (x, y, z), and 0."""
-    br, al, val = A.bracket, A.alpha, A.epsilon.value
+    br, al, val = A.bracket, A.alpha, ref_value(A.epsilon)
     cyclic = (vec_scale(val(dc, da), br.apply(al.apply(a), br.apply(b, c)))
               for px, py, pz in _homogeneous(A, x, y, z)
               for (da, a), (_, b), (dc, c) in ((px, py, pz), (py, pz, px), (pz, px, py)))
@@ -157,7 +174,7 @@ def jacobi(A, x, y, z):
 
 def leibniz(A, x, y, z):
     """[alpha(x), yz] and [x, y]alpha(z) + eps(x, y) alpha(y)[x, z]."""
-    mu, br, al, val = A.mu, A.bracket, A.alpha, A.epsilon.value
+    mu, br, al, val = A.mu, A.bracket, A.alpha, ref_value(A.epsilon)
     twisted = (vec_scale(val(dx, dy), mu.apply(al.apply(yc), br.apply(xc, z)))
                for (dx, xc), (dy, yc) in _homogeneous(A, x, y))
     return (br.apply(al.apply(x), mu.apply(y, z)),
@@ -224,13 +241,13 @@ def ref_hom_associative(A):
 def ref_epsilon_commutative(A):
     mu = A.mu
     return [_ref_sweep("epsilon-commutativity", A.dim, 2, lambda i, j: (
-        mu.of_pair(i, j), vec_scale(A.eps(i, j), mu.of_pair(j, i))))]
+        mu.of_pair(i, j), vec_scale(ref_eps(A, i, j), mu.of_pair(j, i))))]
 
 
 def ref_hom_lie(A):
     br = A.bracket
     return [_ref_sweep("epsilon-skew-symmetry", A.dim, 2, lambda i, j: (
-                br.of_pair(i, j), vec_scale(-A.eps(i, j), br.of_pair(j, i)))),
+                br.of_pair(i, j), vec_scale(-ref_eps(A, i, j), br.of_pair(j, i)))),
             _ref_sweep("hom-jacobi", A.dim, 3, _at_basis(A, jacobi))]
 
 
@@ -294,11 +311,11 @@ def ref_operator(A, claim):
 
 # ---------------------------------------------------------------------------
 # dense reference for the group laws: the laws on coordinate tuples, through
-# the public elements, add and value only.  A report is as above.
+# ref_value and the public elements and add only.  A report is as above.
 
 def ref_bicharacter(t):
     """The five bicharacter laws of a sign bicharacter or a rational table."""
-    group, val = t.group, t.value
+    group, val = t.group, ref_value(t)
     els, zero = group.elements(), group.zero
     skew, left, right, unit, diag = ([] for _ in range(5))
     for a in els:

@@ -254,3 +254,37 @@ def test_unreadable_input_and_unwritable_output_exit_2(tmp_path, argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert main(argv(tmp_path)) == 2
     assert "Traceback" not in err.getvalue() and err.getvalue().startswith("error: ")
+
+
+# past Python's int-to-string digit limit: a product of two 3001-digit
+# inputs has 6001 digits, too many to render, put in JSON or serialize
+BIG = "1" + "0" * 3000
+
+
+def _big_rb2dim(tmp_path):
+    return _written(tmp_path, json.dumps(rb2dim_with(("operators", "R"), [[BIG, "0"], ["0", BIG]])))
+
+
+def _big_group_algebra(tmp_path):
+    raw = json.loads((FIXTURES / "group_algebra_z2sq.json").read_text(encoding="utf-8"))
+    raw["mu"] = [entry[:3] + [BIG] for entry in raw["mu"]]
+    raw["multipliers"]["sigma_one"] = [[BIG] * 4 for _ in range(4)]
+    return _written(tmp_path, json.dumps(raw))
+
+
+CHECK_BIG_R = ["--name", "R", "--kind", "rota-baxter", "--weight", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(lambda d: ["check-operator", _big_rb2dim(d)] + CHECK_BIG_R, id="render"),
+    pytest.param(lambda d: ["check-operator", _big_rb2dim(d)] + CHECK_BIG_R + ["--json"], id="json"),
+    pytest.param(lambda d: ["twist", _big_group_algebra(d), "--construction", "multiplier-sym",
+                            "--multiplier", "sigma_one", "-o", str(d / "out.json")], id="serialize"),
+])
+def test_rationals_past_the_digit_limit_exit_2(tmp_path, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv(tmp_path)) == 2
+    assert out.getvalue() == "" and "Traceback" not in err.getvalue()
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
