@@ -12,12 +12,7 @@ from . import constructions
 from .core import EvenLinearMap, _axioms, check_morphism
 from .document import AlgebraDocument, parse_document, parse_rational, serialize_document
 from .errors import AlgcheckError, DocumentError, HypothesisError
-from .grading import (
-    SignBicharacter,
-    validate_bicharacter,
-    validate_bicharacter_table,
-    validate_multiplier,
-)
+from .grading import _factor_laws, validate_multiplier
 from .operators import KINDS, OperatorClaim, check_operator
 from .report import all_ok, render_reports
 
@@ -47,17 +42,12 @@ def _emit(reports, as_json, full=False):
 
 
 def _validation_reports(doc, commutative=False):
-    alg = doc.algebra
-    reports = []
-    if isinstance(alg.epsilon, SignBicharacter):
-        reports.extend(validate_bicharacter(alg.epsilon))
-    else:
-        reports.extend(validate_bicharacter_table(alg.epsilon))
+    reports = _factor_laws(doc.algebra.epsilon)
     for name, table in sorted(doc.multipliers.items()):
         for r in validate_multiplier(table):
             r.axiom = f"{name}:{r.axiom}"
             reports.append(r)
-    return reports + _axioms(alg, commutative)
+    return reports + _axioms(doc.algebra, commutative)
 
 
 def cmd_validate(args):

@@ -151,7 +151,8 @@ def parse_document(text):
     if "matrix" in eps_raw:
         rows = _need(eps_raw, "matrix", list, "epsilon")
         rows = tuple(_ints(r, f"epsilon.matrix[{i}]") for i, r in enumerate(rows))
-        epsilon = _located("epsilon", {ShapeError: "shape"}, SignBicharacter, group, rows)
+        epsilon = _located("epsilon", {ShapeError: "shape", InvalidRepresentationError: "shape"},
+                           SignBicharacter, group, rows)
     elif "table" in eps_raw:
         epsilon = _table(group, eps_raw["table"], "epsilon.table")
     else:

@@ -12,14 +12,14 @@ derives its element tuple (`_els`) and its addition table (`_sums`: the
 index of a + b, for the indices of a and b), and every commutation
 factor one value table indexed the same way (`_table`), which its
 `value` reads; each is a property of the object's fields, built at most
-once.  A law is swept one row at a time: for fixed indices (x, y), the
-values over every z are built as lists and compared at once, and only a
-row that disagrees is scanned for the z that fail.  Index order is
-lexicographic element order, so violations come out in the order the
-tuple loops gave them, mapped back to element tuples and to the table's
-own Fraction values.  A sign bicharacter needs no sweep but the
-skew-symmetry pairs (see `validate_bicharacter`); multiplier and table
-laws compare integers (see `validate_multiplier` and
+once.  Each law is one `_row_sweep` call of arity 1 to 3, except the
+sign laws that hold in closed form.  A sweep compares the values over
+the last index as lists, a row at a time; index order is lexicographic
+element order, so violations come out in tuple-loop order, with element
+tuples and the table's own Fraction values.  A sign matrix is well
+defined on the group by construction, so a sign bicharacter sweeps only
+its skew-symmetry pairs (see `validate_bicharacter`); multiplier and
+table laws compare integers (see `validate_multiplier` and
 `validate_bicharacter_table`).
 """
 
@@ -162,7 +162,9 @@ def _value(factor, a, b):
 
 @dataclass(frozen=True)
 class SignBicharacter:
-    """{-1, +1}-valued bicharacter given by a mod-2 exponent matrix."""
+    """{-1, +1}-valued bicharacter given by a mod-2 exponent matrix whose
+    rows and columns at odd moduli vanish (else eps(a, b) would depend on
+    the coordinate representatives of a and b)."""
 
     group: GroupSpec
     matrix: tuple
@@ -173,18 +175,11 @@ class SignBicharacter:
                      for row in self.matrix)
         if len(rows) != r or any(len(row) != r for row in rows):
             raise ShapeError(f"exponent matrix must be {r}x{r}")
+        odd = [m % 2 for m in self.group.moduli]
+        if any(x and (odd[i] or odd[j]) for i, row in enumerate(rows) for j, x in enumerate(row)):
+            raise InvalidRepresentationError("exponent matrix rows/columns at odd moduli "
+                                             "must vanish mod 2")
         object.__setattr__(self, "matrix", rows)
-
-    def is_well_defined(self):
-        """Rows/columns at odd moduli must vanish mod 2, otherwise the
-        value depends on the coordinate representative."""
-        for i, m in enumerate(self.group.moduli):
-            if m % 2 == 1:
-                if any(self.matrix[i][j] for j in range(self.group.rank)):
-                    return False
-                if any(self.matrix[j][i] for j in range(self.group.rank)):
-                    return False
-        return True
 
     value = _value
 
@@ -239,51 +234,48 @@ class MultiplierTable:
         return self.values
 
 
-def _row_sweep(label, n, sides, exact):
-    """The report for `label` over every index triple (x, y, z).  sides(x, y)
-    gives lists over z that must all equal the first; at each z where one
-    does not, exact(x, y, z) gives the recorded (indices, lhs, rhs)."""
+def _row_sweep(label, n, arity, sides, exact):
+    """The report for `label` over every index tuple of length `arity`.  For
+    each row (every index but the last) sides(*row) gives lists over the
+    last index that must all equal the first; at each last index z where
+    one does not, exact(*row, z) gives the recorded (indices, lhs, rhs)."""
     rep = AxiomReport(label)
-    for x in range(n):
-        for y in range(n):
-            first, *rest = sides(x, y)
-            if any(r != first for r in rest):
-                for z in range(n):
-                    if any(r[z] != first[z] for r in rest):
-                        rep.record(*exact(x, y, z))
+    for row in itertools.product(range(n), repeat=arity - 1):
+        first, *rest = sides(*row)
+        if any(r != first for r in rest):
+            for z in range(n):
+                if any(r[z] != first[z] for r in rest):
+                    rep.record(*exact(*row, z))
     return rep
 
 
 def validate_bicharacter(e):
     """The bicharacter laws for a SignBicharacter, in closed form.
 
-    Raises InvalidRepresentationError before enumerating if the exponent
-    matrix is not well defined on the group.  Otherwise only skew-symmetry
-    can fail, and it is checked on the |G|^2 pairs; the other four laws
-    are returned as empty reports without a sweep.  Proof: when every row
-    and column of E at an odd modulus vanishes mod 2, a^T E b mod 2 only
-    reads a_i and b_j at even moduli m_i, m_j, and there (a + b)_i =
-    (a_i + b_i) mod m_i has the parity of a_i + b_i.  So the exponent is
-    additive in each argument mod 2 and eps is additive on both sides;
-    the exponent of (0, b) and (a, 0) is 0, so eps is 1 at the identity;
-    and every value is +-1, so the diagonal sign law holds.  Finally
-    eps(a, b) eps(b, a) = (-1)^(a^T (E + E^T) b), so the pair (a, b) fails
-    skew-symmetry exactly when a^T (E + E^T) b is odd, with lhs -1 and
-    rhs 1.  Each element's row of E + E^T is precomputed as a bitmask, so
-    a pair costs one AND and one parity count."""
-    if not e.is_well_defined():
-        raise InvalidRepresentationError(
-            "exponent matrix rows/columns at odd moduli must vanish mod 2"
-        )
+    Only skew-symmetry can fail, and it is checked on the |G|^2 pairs; the
+    other four laws are returned as empty reports without a sweep.  Proof:
+    the type's invariant makes every row and column of E at an odd modulus
+    vanish mod 2, so a^T E b mod 2 only reads a_i and b_j at even moduli
+    m_i, m_j, and there (a + b)_i = (a_i + b_i) mod m_i has the parity of
+    a_i + b_i.  So the exponent is additive in each argument mod 2 and eps
+    is additive on both sides; the exponent of (0, b) and (a, 0) is 0, so
+    eps is 1 at the identity; and every value is +-1, so the diagonal sign
+    law holds.  Finally eps(a, b) eps(b, a) = (-1)^(a^T (E + E^T) b), so
+    the pair (a, b) fails skew-symmetry exactly when a^T (E + E^T) b is
+    odd, with lhs -1 and rhs 1.  Each element's row of E + E^T is
+    precomputed as a bitmask, so a pair costs one AND and one parity
+    count."""
     skew_form = tuple(tuple(x ^ y for x, y in zip(row, col))
                       for row, col in zip(e.matrix, zip(*e.matrix)))
     els, forms = e.group._els, _forms(e.group, skew_form)
-    skew = AxiomReport("bicharacter:skew-symmetry")
-    for a, (_, form) in zip(els, forms):
-        if form:
-            for b, (bits, _) in zip(els, forms):
-                if (form & bits).bit_count() & 1:
-                    skew.record((a, b), (MINUS_ONE,), (ONE,))
+    zeros = [0] * len(els)
+
+    def parities(a):  # a row whose skew form is 0 has nothing to compare
+        form = forms[a][1]
+        return (zeros, [(form & bits).bit_count() & 1 for bits, _ in forms]) if form else (zeros,)
+
+    skew = _row_sweep("bicharacter:skew-symmetry", len(els), 2, parities,
+                      lambda a, b: ((els[a], els[b]), (MINUS_ONE,), (ONE,)))
     return [skew] + [AxiomReport(f"bicharacter:{law}") for law in (
         "additivity-left", "additivity-right", "identity-element", "diagonal-sign")]
 
@@ -298,39 +290,44 @@ def validate_bicharacter_table(t):
     """The same exhaustive bicharacter laws for a rational-valued table
     (used to certify the delta of a multiplier, and products of factors).
 
-    The additivity laws are not homogeneous in t, but with D the lcm of
-    its denominators and T = D*t, eps(a, b+c) = eps(a, b) eps(a, c) holds
-    exactly when D*T(a, b+c) = T(a, b) T(a, c), and likewise on the right.
-    So both are swept a row at a time on the ints of T; a violation is
-    recorded with the table's own Fraction values."""
+    With D the lcm of its denominators and T = D*t, the laws are swept on
+    the ints of T: T(a, b) T(b, a) = D^2, T(a, 0) = D = T(0, a), T(a, a)^2
+    = D^2, and D*T(a, b+c) = T(a, b) T(a, c), likewise on the right.  A
+    violation is recorded with the table's own Fraction values."""
     g = t.group
     els, sums, val = g._els, g._sums, t._table
-    d, ints = _cleared(val)
-    skew, unit, diag = (AxiomReport(f"bicharacter:{law}")
-                        for law in ("skew-symmetry", "identity-element", "diagonal-sign"))
-    for a, ea in enumerate(els):
-        if val[a][0] != 1 or val[0][a] != 1:
-            unit.record((ea,), (val[a][0],), (val[0][a],))
-        if val[a][a] not in (1, -1):
-            diag.record((ea,), (val[a][a],), (ONE,))
-        for b, eb in enumerate(els):
-            p = val[a][b] * val[b][a]
-            if p != 1:
-                skew.record((ea, eb), (p,), (ONE,))
     n = g.order
+    d, ints = _cleared(val)
+    cols = [list(col) for col in zip(*ints)]
+    square = [d * d] * n
+    skew = _row_sweep("bicharacter:skew-symmetry", n, 2,
+                      lambda a: (square, [x * y for x, y in zip(ints[a], cols[a])]),
+                      lambda a, b: ((els[a], els[b]), (val[a][b] * val[b][a],), (ONE,)))
     # eps(a, b + c) = eps(a, b) eps(a, c)
     left = _row_sweep(
-        "bicharacter:additivity-left", n,
+        "bicharacter:additivity-left", n, 3,
         lambda a, b: ([d * ints[a][k] for k in sums[b]], [ints[a][b] * x for x in ints[a]]),
         lambda a, b, c: ((els[a], els[b], els[c]), (val[a][sums[b][c]],),
                          (val[a][b] * val[a][c],)))
     # eps(a + b, c) = eps(a, c) eps(b, c)
     right = _row_sweep(
-        "bicharacter:additivity-right", n,
+        "bicharacter:additivity-right", n, 3,
         lambda a, b: ([d * x for x in ints[sums[a][b]]], [x * y for x, y in zip(ints[a], ints[b])]),
         lambda a, b, c: ((els[a], els[b], els[c]), (val[sums[a][b]][c],),
                          (val[a][c] * val[b][c],)))
+    unit = _row_sweep("bicharacter:identity-element", n, 1, lambda: ([d] * n, cols[0], ints[0]),
+                      lambda a: ((els[a],), (val[a][0],), (val[0][a],)))
+    diag = _row_sweep("bicharacter:diagonal-sign", n, 1,
+                      lambda: (square, [ints[a][a] ** 2 for a in range(n)]),
+                      lambda a: ((els[a],), (val[a][a],), (ONE,)))
     return [skew, left, right, unit, diag]
+
+
+def _factor_laws(e):
+    """The bicharacter laws of a commutation factor of either class."""
+    if isinstance(e, SignBicharacter):
+        return validate_bicharacter(e)
+    return validate_bicharacter_table(e)
 
 
 def validate_multiplier(s, symmetric=False):
@@ -354,17 +351,16 @@ def validate_multiplier(s, symmetric=False):
         return [row[k] * c for k, c in zip(sums[y], ints[y])]
 
     cocycle = _row_sweep(
-        "multiplier:cocycle", n,
+        "multiplier:cocycle", n, 3,
         lambda x, y: (after(x, y), [ints[x][y] * c for c in ints[sums[x][y]]]),
         lambda x, y, z: ((els[x], els[y], els[z]), (val[x][sums[y][z]] * val[y][z],),
                          (val[x][y] * val[sums[x][y]][z],)))
     reports = [cocycle]
     if symmetric:
         cols = [list(col) for col in zip(*ints)]
-        sym = AxiomReport("multiplier:symmetry")
-        for x, y in itertools.product(range(n), repeat=2):
-            if ints[x][y] != ints[y][x]:
-                sym.record((els[x], els[y]), (val[x][y],), (val[y][x],))
+        sym = _row_sweep(
+            "multiplier:symmetry", n, 2, lambda x: (ints[x], cols[x]),
+            lambda x, y: ((els[x], els[y]), (val[x][y],), (val[y][x],)))
 
         def cyclic(x, y):
             # s(x, y)s(z, x+y), s(y, z)s(x, y+z), s(z, x)s(y, z+x) over z
@@ -373,7 +369,7 @@ def validate_multiplier(s, symmetric=False):
                     [c * row[k] for c, k in zip(cols[x], sums[x])])
 
         cyc = _row_sweep(
-            "multiplier:cyclic-invariance", n, cyclic,
+            "multiplier:cyclic-invariance", n, 3, cyclic,
             lambda x, y, z: ((els[x], els[y], els[z]), (val[x][y] * val[z][sums[x][y]],),
                              (val[y][z] * val[x][sums[y][z]], val[z][x] * val[y][sums[z][x]])))
         reports.extend([sym, cyc])
