@@ -30,14 +30,23 @@ def _load(path):
     return parse_document(text)
 
 
-def _emit(reports, as_json, full=False):
-    code = EXIT_OK if all_ok(reports) else EXIT_AXIOM
+def _emit(as_json, code=None, full=False, **payload):
+    """Print a command's outcome, as text or as one JSON object, and return
+    its exit code (by default 0 when every report passes, else 1).  Each
+    payload value is a list of reports or, like "gate" (a failed gate's
+    message) and "document", a plain JSON value."""
+    reports = [r for v in payload.values() if isinstance(v, list) for r in v]
+    if code is None:
+        code = EXIT_OK if all_ok(reports) else EXIT_AXIOM
     if as_json:
-        payload = {"reports": [r.to_json() for r in reports], "exit": code}
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in render_reports(reports, full=full):
-            print(line)
+        payload = {k: [r.to_json() for r in v] if isinstance(v, list) else v
+                   for k, v in payload.items()}
+        print(json.dumps(dict(payload, exit=code), sort_keys=True, indent=2))
+        return code
+    if "gate" in payload:
+        print(f"GATE FAILED: {payload['gate']}")
+    for line in render_reports(reports, full=full):
+        print(line)
     return code
 
 
@@ -52,7 +61,8 @@ def _validation_reports(doc, commutative=False):
 
 def cmd_validate(args):
     doc = _load(args.path)
-    return _emit(_validation_reports(doc, commutative=args.commutative), args.json, full=args.full)
+    return _emit(args.json, full=args.full,
+                 reports=_validation_reports(doc, commutative=args.commutative))
 
 
 def cmd_check_operator(args):
@@ -62,7 +72,7 @@ def cmd_check_operator(args):
     weight = parse_rational(args.weight, "--weight") if args.weight is not None else None
     claim = OperatorClaim(doc.operators[args.name], args.kind, power=args.power, weight=weight)
     reports = check_operator(doc.algebra, claim, products=args.product)
-    return _emit(reports, args.json)
+    return _emit(args.json, reports=reports)
 
 
 def _summary(reports):
@@ -145,6 +155,8 @@ def _run_construction(doc, args):
 
 
 def _write_result(doc, args, result):
+    """Write the output document to -o, else to stdout; with --json and no
+    -o, return it as the payload field "document" instead."""
     metadata = dict(doc.metadata)
     metadata["construction"] = args.construction
     metadata["certification"] = _summary(result.certification)
@@ -164,17 +176,20 @@ def _write_result(doc, args, result):
                 fh.write(text)
         except OSError as exc:
             raise DocumentError("io", str(exc), args.output) from exc
+    elif args.json:
+        return {"document": json.loads(text)}
     else:
         sys.stdout.write(text)
+    return {}
 
 
 def cmd_twist(args):
     doc = _load(args.path)
     result = _run_construction(doc, args)
-    _write_result(doc, args, result)
-    for line in render_reports(result.reports):
-        print(line)
-    return EXIT_OK if result.ok else EXIT_AXIOM
+    document = _write_result(doc, args, result)
+    return _emit(args.json, code=EXIT_OK if result.ok else EXIT_AXIOM,
+                 certification=result.certification, morphism=result.morphism,
+                 findings=result.findings, **document)
 
 
 def build_parser():
@@ -233,10 +248,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except HypothesisError as exc:
-        print(f"GATE FAILED: {exc}")
-        for line in render_reports(exc.reports):
-            print(line)
-        return EXIT_AXIOM
+        return _emit(args.json, code=EXIT_AXIOM, gate=str(exc), reports=exc.reports)
     except AlgcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -2,8 +2,10 @@
 
 Every construction gates its hypotheses first (raising HypothesisError
 with the offending reports), builds the new algebra, then re-certifies
-the output exhaustively.  Outputs always carry their certification
-reports; a construction never silently emits an unchecked algebra.
+the output exhaustively.  Every construction but `xi_twist`, whose laws
+do not read eps, gates the commutation factor on the bicharacter laws.
+Outputs always carry their certification reports; a construction never
+silently emits an unchecked algebra.
 
 Every product is built by one builder, `core._tabulated`: a construction
 states its new product pair by pair as a sparse vector, read off the old
@@ -32,7 +34,13 @@ from .core import (
     check_morphism,
 )
 from .errors import HypothesisError, IncompatibilityError, ShapeError
-from .grading import _rational, delta_from_multiplier, twist_epsilon, validate_multiplier
+from .grading import (
+    _factor_laws,
+    _rational,
+    delta_from_multiplier,
+    twist_epsilon,
+    validate_multiplier,
+)
 from .operators import OperatorClaim, _deformed, check_operator
 from .report import all_ok
 
@@ -72,6 +80,11 @@ def _rebuilt(P, product, names=("mu", "bracket"), **replace):
     return P.replace(**replace)
 
 
+def _gate_factor(P):
+    """Gate P's commutation factor on the bicharacter laws."""
+    _gate(_factor_laws(P.epsilon), "commutation factor is not a bicharacter")
+
+
 def _rescaled(s, p, i, j):
     """s(deg e_i, deg e_j) p(e_i, e_j)."""
     degs = p.basis.degrees
@@ -80,10 +93,12 @@ def _rescaled(s, p, i, j):
 
 def _operator_twist(P, b, kind, message, build, clause="morphism",
                     poisson="input is not a Hom-Poisson color algebra", **claim):
-    """The operator twists' shared sequence: gate the input, gate b as a
-    `kind` operator (`claim` holds the OperatorClaim keywords), build the
-    output, certify it, and check b as a map from the output onto P,
-    recorded under `clause` ("morphism", "findings", or None: no check)."""
+    """The operator twists' shared sequence: gate the input's commutation
+    factor and axioms, gate b as a `kind` operator (`claim` holds the
+    OperatorClaim keywords), build the output, certify it, and check b as
+    a map from the output onto P, recorded under `clause` ("morphism",
+    "findings", or None: no check)."""
+    _gate_factor(P)
     _gate(check_hom_poisson(P), poisson)
     _gate(check_operator(P, OperatorClaim(b, kind, **claim)), message)
     out = build()
@@ -117,6 +132,7 @@ def multiplier_twist_symmetric(P, s):
     """Rescale both products by a symmetric, cyclically invariant
     multiplier; same commutation factor, same alpha."""
     _gate(validate_multiplier(s, symmetric=True), "multiplier fails the symmetric-twist gate")
+    _gate_factor(P)
     _gate(check_hom_poisson(P), "input is not a Hom-Poisson color algebra")
     out = _rebuilt(P, partial(_rescaled, s))
     return ConstructionResult(out, certification=check_hom_poisson(out))
@@ -128,6 +144,7 @@ def multiplier_twist_delta(P, s, endomorphisms=()):
     delta(x, y) = s(x, y)/s(y, x).  Every endomorphism of the input is
     re-verified as an endomorphism of the twist."""
     _gate(validate_multiplier(s), "multiplier fails the cocycle gate")
+    _gate_factor(P)
     _gate(check_hom_poisson(P), "input is not a Hom-Poisson color algebra")
     delta = delta_from_multiplier(s)
     if all(v == 1 for row in delta.values for v in row):
@@ -146,6 +163,7 @@ def transport_along_bijection(Pp, f):
     """Pull the structure of Pp back along an invertible even map:
     x . y = f^-1(f(x) .' f(y)), likewise for the bracket, and
     alpha = f^-1 alpha' f.  f becomes a morphism onto Pp."""
+    _gate_factor(Pp)
     finv, fc = f.inverse(), f._columns
     out = _rebuilt(Pp, lambda p, i, j: _mapped(finv, _product(p, fc[i], fc[j])),
                    alpha=finv.compose(Pp.alpha).compose(f))
@@ -247,6 +265,7 @@ def tensor_with_commutative(A, P):
         raise IncompatibilityError("tensor factors have different grading groups")
     if A.epsilon._table != P.epsilon._table:
         raise IncompatibilityError("tensor factors have different commutation factors")
+    _gate_factor(P)
     _gate([check_hom_associative(A), check_epsilon_commutative(A)],
           "left factor is not a commutative Hom-associative color algebra")
     _gate(check_hom_poisson(P), "right factor is not a Hom-Poisson color algebra")

@@ -53,6 +53,24 @@ def rb2dim_with(path, value):
     return raw
 
 
+def line_over(moduli, epsilon, **extra):
+    """A one-dimensional algebra document e0.e0 = e0 over the group with
+    these moduli, with the given "epsilon" object and a zero bracket."""
+    zero = [0] * len(moduli)
+    return dict({"name": "line", "group": {"moduli": list(moduli)},
+                 "basis": {"degrees": [zero]}, "epsilon": epsilon,
+                 "mu": [[0, 0, 0, "1"]], "bracket": [], "alpha": [["1"]]}, **extra)
+
+
+# documents whose commutation factor is not a bicharacter: a rational table
+# that fails both additivity laws and the identity element, and a sign
+# matrix that is not symmetric mod 2, so it fails skew-symmetry
+NON_BICHARACTER = [
+    pytest.param(line_over([2], {"table": [["1", "2"], ["1/2", "-1"]]}), id="table"),
+    pytest.param(line_over([2, 2], {"matrix": [[0, 1], [0, 0]]}), id="sign"),
+]
+
+
 def three_dim(a=F(2), exponent=1, corrected=True):
     """The 3-dim parameterized fixture over Z_2, in both table variants."""
     g = GroupSpec((2,))

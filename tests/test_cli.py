@@ -5,11 +5,17 @@ import pytest
 from algcheck import parse_document
 from algcheck.cli import main
 
-from conftest import FIXTURES, WRONG_TYPED_FIELDS, rb2dim_with
+from conftest import FIXTURES, NON_BICHARACTER, WRONG_TYPED_FIELDS, line_over, rb2dim_with
 
 
 def fx(name):
     return str(FIXTURES / f"{name}.json")
+
+
+def written(tmp_path, raw):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(raw), encoding="utf-8")
+    return str(p)
 
 
 class TestValidate:
@@ -162,3 +168,88 @@ class TestTensor:
     def test_incompatible_factors(self, capsys):
         assert main(["tensor", fx("unital_line"), fx("group_algebra_z2")]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestCommutationFactorGate:
+    """Every construction but xi refuses an input whose eps is not a bicharacter."""
+
+    @pytest.mark.parametrize("raw", NON_BICHARACTER)
+    @pytest.mark.parametrize("argv", [
+        lambda p: ["twist", p, "--construction", "nijenhuis", "--operator", "Id"],
+        lambda p: ["twist", p, "--construction", "transport", "--operator", "Id"],
+        lambda p: ["tensor", p, p],
+    ], ids=["nijenhuis", "transport", "tensor"])
+    def test_gate_fails_and_writes_nothing(self, tmp_path, capsys, raw, argv):
+        out = tmp_path / "out.json"
+        assert main(argv(written(tmp_path, raw)) + ["-o", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "GATE FAILED: commutation factor is not a bicharacter"
+        assert lines[1:] and all(line.startswith("FAIL bicharacter:") for line in lines[1:])
+        assert not out.exists()
+
+    def test_validate_reports_the_failing_laws(self, tmp_path, capsys):
+        table, sign = (p.values[0] for p in NON_BICHARACTER)
+        assert main(["validate", written(tmp_path, table)]) == 1
+        assert capsys.readouterr().out.splitlines()[:5] == [
+            "PASS bicharacter:skew-symmetry",
+            "FAIL bicharacter:additivity-left: 5 violation(s); "
+            "first at ((0,), (1,), (1,)): lhs=(1), rhs=(4)",
+            "FAIL bicharacter:additivity-right: 5 violation(s); "
+            "first at ((0,), (0,), (1,)): lhs=(2), rhs=(4)",
+            "FAIL bicharacter:identity-element: 1 violation(s); "
+            "first at ((1,),): lhs=(1/2), rhs=(2)",
+            "PASS bicharacter:diagonal-sign",
+        ]
+        assert main(["validate", written(tmp_path, sign)]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "FAIL bicharacter:skew-symmetry: 6 violation(s); "
+            "first at ((0, 1), (1, 0)): lhs=(-1), rhs=(1)")
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["check-operator", "--name", "one", "--kind", "centroid"],
+        ["twist", "--construction", "transport", "--operator", "Id"],
+    ], ids=["validate", "check-operator", "twist"])
+    def test_ill_defined_sign_matrix_is_a_shape_error(self, tmp_path, capsys, argv):
+        # eps(a, b) = (-1)^(ab) on Z_3 depends on the representatives of a and b
+        raw = line_over([3], {"matrix": [[1]]}, operators={"one": [["1"]]})
+        assert main(argv[:1] + [written(tmp_path, raw)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: shape at epsilon")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
+class TestConstructionJson:
+    RB = ["twist", fx("rb2dim_poisson"), "--construction", "rota-baxter",
+          "--operator", "R", "--weight", "1/2", "--json"]
+
+    def test_pass_with_output_file(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert main(self.RB + ["-o", str(out)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload) == ["certification", "exit", "findings", "morphism"]
+        assert payload["exit"] == 0
+        assert [r["axiom"] for r in payload["certification"]] == [
+            "hom-associativity", "epsilon-skew-symmetry", "hom-jacobi", "hom-leibniz"]
+        assert payload["morphism"] and all(r["ok"] for r in payload["morphism"])
+        assert payload["findings"] == []
+        assert out.exists()
+
+    def test_document_goes_into_the_object_without_output_file(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert main(["tensor", fx("comm2"), fx("example3_corrected"), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload) == ["certification", "document", "exit", "findings", "morphism"]
+        assert main(["tensor", fx("comm2"), fx("example3_corrected"), "-o", str(out)]) == 0
+        assert payload["document"] == json.loads(out.read_text(encoding="utf-8"))
+
+    def test_gate_failure(self, tmp_path, capsys):
+        raw = NON_BICHARACTER[0].values[0]
+        assert main(["tensor", written(tmp_path, raw), written(tmp_path, raw), "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload) == ["exit", "gate", "reports"]
+        assert payload["gate"] == "commutation factor is not a bicharacter"
+        assert payload["exit"] == 1
+        assert [r["axiom"] for r in payload["reports"]] == [
+            "bicharacter:additivity-left", "bicharacter:additivity-right",
+            "bicharacter:identity-element"]

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -17,13 +18,15 @@ from algcheck import (
     multiplier_twist_delta,
     multiplier_twist_symmetric,
     nijenhuis_twist,
+    parse_document,
     rota_baxter_twist,
     tensor_with_commutative,
     transport_along_bijection,
+    validate_bicharacter_table,
     xi_twist,
 )
 
-from conftest import load_fixture, three_dim
+from conftest import NON_BICHARACTER, load_fixture, three_dim
 
 
 class TestXiTwist:
@@ -227,6 +230,16 @@ class TestNijenhuisTwist:
             nijenhuis_twist(
                 rb2dim_poisson, EvenLinearMap.diagonal(rb2dim_poisson.basis, (1, 0))
             )
+
+    def test_gate_on_the_commutation_factor(self):
+        P = parse_document(json.dumps(NON_BICHARACTER[0].values[0])).algebra
+        with pytest.raises(HypothesisError) as info:
+            nijenhuis_twist(P, EvenLinearMap.identity(P.basis))
+        assert str(info.value) == "commutation factor is not a bicharacter"
+        assert info.value.reports == [r for r in validate_bicharacter_table(P.epsilon) if not r.ok]
+        assert [r.axiom for r in info.value.reports] == [
+            "bicharacter:additivity-left", "bicharacter:additivity-right",
+            "bicharacter:identity-element"]
 
 
 class TestRotaBaxterTwist:

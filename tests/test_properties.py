@@ -301,13 +301,18 @@ group_moduli = st.lists(st.sampled_from([1, 2, 3, 4, 6]), min_size=1, max_size=3
 fractions_nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
 
 
+def _scaled(t, i, j, c):
+    """t with entry (i, j) multiplied by c."""
+    rows = [list(row) for row in t.values]
+    rows[i][j] *= c
+    return MultiplierTable(t.group, rows)
+
+
 def _perturbed_table(draw, t):
     """t with one entry multiplied by a rational other than 1."""
     n = t.group.order
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-    rows = [list(row) for row in t.values]
-    rows[i][j] *= draw(fractions_nonzero.filter(lambda q: q != 1))
-    return MultiplierTable(t.group, rows)
+    return _scaled(t, i, j, draw(fractions_nonzero.filter(lambda q: q != 1)))
 
 
 @st.composite
@@ -336,7 +341,10 @@ def test_group_laws_match_dense_reference(case, data):
     e, s = case
     g, els = e.group, e.group.elements()
     delta = delta_from_multiplier(s)
-    tables = [delta, _perturbed_table(data.draw, delta), twist_epsilon(e, delta)]
+    # the last two break the identity-element and diagonal-sign laws
+    i, j = (data.draw(st.integers(0, g.order - 1)) for _ in range(2))
+    tables = [delta, _perturbed_table(data.draw, delta), twist_epsilon(e, delta),
+              _scaled(delta, 0, j, 2), _scaled(delta, i, i, 3)]
     for a, b in itertools.product(els, repeat=2):
         assert delta.value(a, b) == s.value(a, b) / s.value(b, a)
         assert tables[2].value(a, b) == e.value(a, b) * delta.value(a, b)
