@@ -14,12 +14,15 @@ on the eps-commutator of the group algebra K[Z_2^r], and the seconds
 `check_operator` takes on 2 id for every operator kind (Rota-Baxter at
 weight -2), also in process.  It then prints the end-to-end seconds of
 `algcheck validate` on a dim-1 document with a sign bicharacter over
-Z_2^8, run in a fresh interpreter the way the console script runs it.
-Every verdict must be PASS.
+Z_2^8, run in a fresh interpreter the way the console script runs it:
+the median over CLI_RUNS interpreters of the wall time and of the child's
+CPU time.  Every verdict must be PASS.
 """
 
 import os
 import pathlib
+import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -53,6 +56,7 @@ from algcheck.operators import KINDS  # noqa: E402
 
 ORDERS = (16, 32, 64, 256)
 DIMS = (8, 16, 32)
+CLI_RUNS = 11
 
 
 def _timed(fn, *args, **kwargs):
@@ -120,20 +124,30 @@ def line_document(rank):
     return serialize_document(AlgebraDocument(name=f"line-z2^{rank}", algebra=alg))
 
 
-def cli_validate_seconds(rank=8):
-    """Wall seconds of `algcheck validate` on line_document(rank)."""
+def _child_cpu():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def cli_validate_seconds(rank=8, runs=CLI_RUNS):
+    """Median (wall, CPU) seconds of `algcheck validate` on
+    line_document(rank) over `runs` fresh interpreters.  The run waits
+    without a timeout, so the wall time carries no polling delay."""
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "line.json"
         path.write_text(line_document(rank), encoding="utf-8")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         cmd = [sys.executable, "-c", "from algcheck.cli import entry; entry()", "validate", str(path)]
-        start = time.perf_counter()
-        done = subprocess.run(cmd, env=env, capture_output=True, text=True)
-        elapsed = time.perf_counter() - start
-    if done.returncode != 0:
-        raise AssertionError(f"validate exited {done.returncode}: {done.stdout}{done.stderr}")
-    return elapsed
+        walls, cpus = [], []
+        for _ in range(runs):
+            cpu, start = _child_cpu(), time.perf_counter()
+            done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+            walls.append(time.perf_counter() - start)
+            cpus.append(_child_cpu() - cpu)
+            if done.returncode != 0:
+                raise AssertionError(f"validate exited {done.returncode}: {done.stdout}{done.stderr}")
+    return statistics.median(walls), statistics.median(cpus)
 
 
 def main(argv=None):
@@ -151,7 +165,9 @@ def main(argv=None):
         poisson, operators = dimension_seconds(dim)
         print(f"| {dim} | {poisson:.3f} s | " + " | ".join(f"{operators[k]:.3f} s" for k in KINDS) + " |")
     print()
-    print(f"CLI validate, dim 1, sign bicharacter over Z_2^8: {cli_validate_seconds(8):.3f} s")
+    wall, cpu = cli_validate_seconds(8)
+    print(f"CLI validate, dim 1, sign bicharacter over Z_2^8, median of {CLI_RUNS} runs: "
+          f"{wall:.3f} s wall, {cpu:.3f} s CPU")
 
 
 if __name__ == "__main__":

@@ -14,9 +14,9 @@ product and the maps through the sparse kernel (`_product`, `_mapped`,
 input carries.
 """
 
-from dataclasses import dataclass, field
 from functools import partial
 
+from ._record import factory, record
 from .core import (
     ONE,
     EvenLinearMap,
@@ -45,7 +45,7 @@ from .operators import OperatorClaim, _deformed, check_operator
 from .report import all_ok
 
 
-@dataclass
+@record
 class ConstructionResult:
     """A constructed algebra together with its evidence.
 
@@ -56,9 +56,9 @@ class ConstructionResult:
     whose proof is absent from the source material)."""
 
     algebra: GradedAlgebra
-    certification: list = field(default_factory=list)
-    morphism: list = field(default_factory=list)
-    findings: list = field(default_factory=list)
+    certification: list = factory(list)
+    morphism: list = factory(list)
+    findings: list = factory(list)
 
     @property
     def ok(self):

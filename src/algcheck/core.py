@@ -15,13 +15,12 @@ and `column` methods work on dense tuples; the test suite's dense
 reference is written with them alone.
 """
 
-import dataclasses
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from types import MappingProxyType
 
+from ._record import record, replace
 from .errors import (
     EvennessError,
     HypothesisError,
@@ -29,7 +28,7 @@ from .errors import (
     ShapeError,
     SingularMapError,
 )
-from .grading import _rational
+from .grading import _integers, _rational
 from .report import AxiomReport
 
 ZERO = Fraction(0)
@@ -40,7 +39,7 @@ _EMPTY = MappingProxyType({})
 # ---------------------------------------------------------------------------
 # bases, maps, products
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GradedBasis:
     group: object
     degrees: tuple
@@ -59,7 +58,7 @@ class GradedBasis:
         return len(self.degrees)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EvenLinearMap:
     """Square rational matrix; column j is the image of basis vector j.
     Nonzero entries may only link equal degrees."""
@@ -125,6 +124,7 @@ class EvenLinearMap:
         )
 
     def power(self, k):
+        _integers((k,), "map powers")
         if k < 0:
             raise ShapeError("negative map power")
         out = EvenLinearMap.identity(self.basis)
@@ -162,7 +162,7 @@ class EvenLinearMap:
         return EvenLinearMap(self.basis, tuple(tuple(row) for row in inv))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BilinearProduct:
     """Sparse structure constants: entries are (i, j, k, c) with
     e_i e_j = sum_k c e_k, sorted lexicographically, zero c dropped.
@@ -230,7 +230,7 @@ class BilinearProduct:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GradedAlgebra:
     """A graded basis with up to two structure-constant products, an even
     twisting map alpha and a commutation factor epsilon (sign bicharacter
@@ -274,7 +274,7 @@ class GradedAlgebra:
         return self._eps[i][j]
 
     def replace(self, **kw):
-        return dataclasses.replace(self, **kw)
+        return replace(self, **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ documents.
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import factory, record
 from .core import BilinearProduct, EvenLinearMap, GradedAlgebra, GradedBasis
 from .errors import (
     AlgcheckError,
@@ -47,13 +47,13 @@ def format_rational(x):
     return _text(Fraction(x))
 
 
-@dataclass
+@record
 class AlgebraDocument:
     name: str
     algebra: GradedAlgebra
-    operators: dict = field(default_factory=dict)
-    multipliers: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
+    operators: dict = factory(dict)
+    multipliers: dict = factory(dict)
+    metadata: dict = factory(dict)
 
 
 _REQUIRED = object()

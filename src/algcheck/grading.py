@@ -26,10 +26,10 @@ table laws compare integers (see `validate_multiplier` and
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import record
 from .errors import InvalidRepresentationError, ShapeError
 from .report import AxiomReport
 
@@ -65,7 +65,7 @@ def group_order_bound():
         ) from None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GroupSpec:
     """A finite abelian group given as a product of cyclic factors."""
 
@@ -160,7 +160,7 @@ def _value(factor, a, b):
     return factor._table[index(a)][index(b)]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SignBicharacter:
     """{-1, +1}-valued bicharacter given by a mod-2 exponent matrix whose
     rows and columns at odd moduli vanish (else eps(a, b) would depend on
@@ -194,7 +194,7 @@ class SignBicharacter:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MultiplierTable:
     """Total map G x G -> Q* stored rowwise in canonical element order.
 

@@ -7,8 +7,8 @@ basis pairs per product and law, returning the full list of violations.
 """
 
 import itertools
-from dataclasses import dataclass
 
+from ._record import record
 from .core import (
     ONE,
     EvenLinearMap,
@@ -23,7 +23,7 @@ from .core import (
     commutator_bracket,
 )
 from .errors import InvalidRepresentationError, SearchSpaceError, ShapeError
-from .grading import _rational
+from .grading import _integers, _rational
 from .report import all_ok
 
 KINDS = ("centroid", "averaging", "rota-baxter", "nijenhuis")
@@ -33,7 +33,7 @@ MAX_SEARCH_DIM = 6
 MAX_SEARCH_SIZE = 200_000
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OperatorClaim:
     map: EvenLinearMap
     kind: str
@@ -43,6 +43,7 @@ class OperatorClaim:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidRepresentationError(f"unknown operator kind {self.kind!r}")
+        _integers((self.power,), "operator powers")
         if self.kind == "rota-baxter":
             if self.weight is None:
                 raise InvalidRepresentationError("rota-baxter claims need a weight")

@@ -4,22 +4,21 @@ A report is empty exactly when the checked identity holds on every basis
 tuple, which by multilinearity certifies it on the whole algebra.
 """
 
-from dataclasses import dataclass, field
-
+from ._record import factory, record
 from .errors import InvalidRepresentationError
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Violation:
     indices: tuple
     lhs: tuple
     rhs: tuple
 
 
-@dataclass
+@record
 class AxiomReport:
     axiom: str
-    violations: list = field(default_factory=list)
+    violations: list = factory(list)
 
     @property
     def ok(self):

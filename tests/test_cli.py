@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -253,3 +256,14 @@ class TestConstructionJson:
         assert [r["axiom"] for r in payload["reports"]] == [
             "bicharacter:additivity-left", "bicharacter:additivity-right",
             "bicharacter:identity-element"]
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # -S keeps site and its .pth files from importing either module
+    src = str(FIXTURES.parent / "src")
+    code = ("import sys, algcheck.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

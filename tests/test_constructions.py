@@ -8,6 +8,7 @@ from algcheck import (
     GroupSpec,
     HypothesisError,
     IncompatibilityError,
+    InvalidRepresentationError,
     MultiplierTable,
     ShapeError,
     SingularMapError,
@@ -210,6 +211,12 @@ class TestAveragingPower:
             averaging_twist_power(
                 group_algebra_z2.algebra, group_algebra_z2.operators["proj"], 0
             )
+
+    @pytest.mark.parametrize("k", [1.0, 1.5, True])
+    def test_rejects_non_integer_power(self, group_algebra_z2, k):
+        A = group_algebra_z2.algebra
+        with pytest.raises(InvalidRepresentationError, match="operator powers must be integers"):
+            averaging_twist_power(A, EvenLinearMap.identity(A.basis), k)
 
 
 class TestNijenhuisTwist:

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import pathlib
 from fractions import Fraction as F
@@ -6,9 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from algcheck import (
-    BilinearProduct,
-    EvenLinearMap,
-    GradedAlgebra,
     GroupSpec,
     InvalidRepresentationError,
     MultiplierTable,
@@ -169,11 +165,13 @@ class TestClosedForm:
                             (warm.mu, cold.mu, "_rows"), (warm.bracket, cold.bracket, "_rows")]:
             assert cache in vars(w) and cache not in vars(c)
             assert w == c and hash(w) == hash(c) and repr(w) == repr(c)
-        inputs = {GroupSpec: ["moduli"], SignBicharacter: ["group", "matrix"],
-                  EvenLinearMap: ["basis", "matrix"], BilinearProduct: ["basis", "entries"],
-                  GradedAlgebra: ["group", "epsilon", "basis", "mu", "bracket", "alpha"]}
-        for cls, names in inputs.items():
-            assert [f.name for f in dataclasses.fields(cls)] == names
+        # the stored attributes of a fresh instance are exactly its inputs, in order
+        g, fresh = GroupSpec((2, 3)), load_fixture("example3_corrected").algebra
+        inputs = [(g, ["moduli"]), (SignBicharacter(g, ((1, 0), (0, 0))), ["group", "matrix"]),
+                  (fresh.alpha, ["basis", "matrix"]), (fresh.mu, ["basis", "entries"]),
+                  (fresh, ["group", "epsilon", "basis", "mu", "bracket", "alpha"])]
+        for obj, names in inputs:
+            assert list(vars(obj)) == names
 
     def test_sum_table_matches_add(self):
         g = GroupSpec((2, 3, 4))
@@ -265,4 +263,5 @@ def test_scale_probe_runs_at_small_orders():
         probe.sweep_seconds(12)
     poisson, operators = probe.dimension_seconds(8)
     assert poisson >= 0 and sorted(operators) == sorted(probe.KINDS)
-    assert probe.cli_validate_seconds(rank=4) > 0
+    wall, cpu = probe.cli_validate_seconds(rank=4, runs=1)
+    assert wall > 0 and cpu > 0

@@ -38,6 +38,16 @@ class TestClaimValidation:
         with pytest.raises(InvalidRepresentationError):
             OperatorClaim(m, "centroid", power=-1)
 
+    @pytest.mark.parametrize("kind, weight", [("centroid", None), ("averaging", None),
+                                              ("rota-baxter", 1), ("nijenhuis", None)])
+    @pytest.mark.parametrize("power", [1.0, 1.5, True])
+    def test_non_integer_power(self, diff4, kind, weight, power):
+        d = diff4.operators["d"]
+        with pytest.raises(InvalidRepresentationError, match="operator powers must be integers"):
+            check_operator(diff4.algebra, OperatorClaim(d, kind, power=power, weight=weight))
+        with pytest.raises(InvalidRepresentationError, match="map powers must be integers"):
+            d.power(power)
+
 
 class TestSelectors:
     def test_basis_mismatch(self, rb2dim, example3):
