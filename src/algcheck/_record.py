@@ -1,15 +1,14 @@
 """Value types, built without generating source code.
 
 `record` turns a class whose body annotates its fields into a value type,
-as `dataclasses.dataclass` does with the options this package uses: the
-fields are positional-or-keyword arguments in annotation order, with
-defaults and `factory` defaults, and `__post_init__` runs after they are
-set; `==` and the repr read the fields; a frozen type hashes its fields
-and refuses assignment, and a mutable one is unhashable.  Attributes that
-are not fields, such as `functools.cached_property` tables, stay out of
-equality, hash and repr.  Every method is a closure over the field names,
-so neither `dataclasses` nor the `inspect` it imports is loaded: importing
-the package, a large share of a CLI run, stays short.
+as a frozen `dataclasses.dataclass` does: the fields are
+positional-or-keyword arguments in annotation order, with defaults and
+`factory` defaults, and `__post_init__` runs after they are set; `==`, the
+hash and the repr read the fields.  Every value type is frozen, and one with
+a list or dict field is unhashable.  Attributes that are not fields, such as
+`functools.cached_property` tables, stay out of equality, hash and repr.
+Every method is a closure over the field names, so neither `dataclasses` nor
+the `inspect` it imports is loaded: importing the package stays short.
 """
 
 from operator import attrgetter
@@ -24,10 +23,8 @@ class factory:
         self.make = make
 
 
-def record(cls=None, *, frozen=False):
-    """Class decorator: `@record` or `@record(frozen=True)`."""
-    if cls is None:
-        return lambda cls: record(cls, frozen=frozen)
+def record(cls):
+    """Class decorator: make `cls` a frozen value type."""
     name, fields = cls.__qualname__, tuple(cls.__annotations__)
     defaults = {f: cls.__dict__.get(f, _MISSING) for f in fields}
     for f, default in defaults.items():
@@ -65,11 +62,8 @@ def record(cls=None, *, frozen=False):
 
     cls._fields = fields
     cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
-    if frozen:
-        cls.__hash__ = lambda self: hash(key(self))
-        cls.__setattr__ = cls.__delattr__ = _frozen
-    else:
-        cls.__hash__ = None
+    cls.__hash__ = lambda self: hash(key(self))
+    cls.__setattr__ = cls.__delattr__ = _frozen
     return cls
 
 

@@ -14,7 +14,7 @@ from .document import AlgebraDocument, parse_document, parse_rational, serialize
 from .errors import AlgcheckError, DocumentError, HypothesisError
 from .grading import _factor_laws, validate_multiplier
 from .operators import KINDS, OperatorClaim, check_operator
-from .report import all_ok, render_reports
+from .report import AxiomReport, all_ok, render_reports
 
 EXIT_OK = 0
 EXIT_AXIOM = 1
@@ -53,9 +53,8 @@ def _emit(as_json, code=None, full=False, **payload):
 def _validation_reports(doc, commutative=False):
     reports = _factor_laws(doc.algebra.epsilon)
     for name, table in sorted(doc.multipliers.items()):
-        for r in validate_multiplier(table):
-            r.axiom = f"{name}:{r.axiom}"
-            reports.append(r)
+        reports += [AxiomReport(f"{name}:{r.axiom}", r.violations)
+                    for r in validate_multiplier(table)]
     return reports + _axioms(doc.algebra, commutative)
 
 

@@ -50,7 +50,7 @@ class ConstructionResult:
     """A constructed algebra together with its evidence.
 
     `certification` re-runs the axioms the theorem asserts for the output;
-    `morphism` holds the checks for morphism clauses the theorem asserts;
+    `morphism` holds the checks of the morphisms the theorem asserts;
     `findings` holds recorded verdicts that are evidence rather than
     theorem content (currently only the centroid twist's morphism claim,
     whose proof is absent from the source material)."""
@@ -85,27 +85,16 @@ def _gate_factor(P):
     _gate(_factor_laws(P.epsilon), "commutation factor is not a bicharacter")
 
 
+def _gate_input(P):
+    """Gate P's commutation factor, then P's Hom-Poisson axioms."""
+    _gate_factor(P)
+    _gate(check_hom_poisson(P), "input is not a Hom-Poisson color algebra")
+
+
 def _rescaled(s, p, i, j):
     """s(deg e_i, deg e_j) p(e_i, e_j)."""
     degs = p.basis.degrees
     return _combined((s.value(degs[i], degs[j]), _pair(p, i, j)))
-
-
-def _operator_twist(P, b, kind, message, build, clause="morphism",
-                    poisson="input is not a Hom-Poisson color algebra", **claim):
-    """The operator twists' shared sequence: gate the input's commutation
-    factor and axioms, gate b as a `kind` operator (`claim` holds the
-    OperatorClaim keywords), build the output, certify it, and check b as
-    a map from the output onto P, recorded under `clause` ("morphism",
-    "findings", or None: no check)."""
-    _gate_factor(P)
-    _gate(check_hom_poisson(P), poisson)
-    _gate(check_operator(P, OperatorClaim(b, kind, **claim)), message)
-    out = build()
-    result = ConstructionResult(out, certification=check_hom_poisson(out))
-    if clause:
-        setattr(result, clause, check_morphism(b, out, P))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +120,10 @@ def xi_twist(A, xi):
 def multiplier_twist_symmetric(P, s):
     """Rescale both products by a symmetric, cyclically invariant
     multiplier; same commutation factor, same alpha."""
+    if s.group != P.group:
+        raise ShapeError("multiplier group differs from algebra group")
     _gate(validate_multiplier(s, symmetric=True), "multiplier fails the symmetric-twist gate")
-    _gate_factor(P)
-    _gate(check_hom_poisson(P), "input is not a Hom-Poisson color algebra")
+    _gate_input(P)
     out = _rebuilt(P, partial(_rescaled, s))
     return ConstructionResult(out, certification=check_hom_poisson(out))
 
@@ -143,9 +133,10 @@ def multiplier_twist_delta(P, s, endomorphisms=()):
     and replace the commutation factor by eps * delta, where
     delta(x, y) = s(x, y)/s(y, x).  Every endomorphism of the input is
     re-verified as an endomorphism of the twist."""
+    if s.group != P.group:
+        raise ShapeError("multiplier group differs from algebra group")
     _gate(validate_multiplier(s), "multiplier fails the cocycle gate")
-    _gate_factor(P)
-    _gate(check_hom_poisson(P), "input is not a Hom-Poisson color algebra")
+    _gate_input(P)
     delta = delta_from_multiplier(s)
     if all(v == 1 for row in delta.values for v in row):
         factor = P.epsilon  # sigma symmetric: keep the original representation
@@ -163,15 +154,14 @@ def transport_along_bijection(Pp, f):
     """Pull the structure of Pp back along an invertible even map:
     x . y = f^-1(f(x) .' f(y)), likewise for the bracket, and
     alpha = f^-1 alpha' f.  f becomes a morphism onto Pp."""
+    if f.basis != Pp.basis:
+        raise ShapeError("map basis differs from algebra basis")
     _gate_factor(Pp)
     finv, fc = f.inverse(), f._columns
     out = _rebuilt(Pp, lambda p, i, j: _mapped(finv, _product(p, fc[i], fc[j])),
                    alpha=finv.compose(Pp.alpha).compose(f))
-    return ConstructionResult(
-        out,
-        certification=check_hom_poisson(out),
-        morphism=check_morphism(f, out, Pp),
-    )
+    return ConstructionResult(out, certification=check_hom_poisson(out),
+                              morphism=check_morphism(f, out, Pp))
 
 
 def centroid_twist(P, b):
@@ -181,23 +171,22 @@ def centroid_twist(P, b):
     code.  The source theorem's proof is absent, so the morphism claim
     (beta from the twist onto the input) is recorded in `findings` rather
     than asserted."""
+    _gate_input(P)
+    _gate(check_operator(P, OperatorClaim(b, "centroid")), "map is not a centroid element")
     bc = b._columns
-    return _operator_twist(
-        P, b, "centroid", "map is not a centroid element",
-        lambda: _rebuilt(P, lambda p, i, j: _product(p, bc[i], {j: ONE}), names=("bracket",)),
-        clause="findings", power=0,
-    )
+    out = _rebuilt(P, lambda p, i, j: _product(p, bc[i], {j: ONE}), names=("bracket",))
+    return ConstructionResult(out, certification=check_hom_poisson(out),
+                              findings=check_morphism(b, out, P))
 
 
 def averaging_twist_pairwise(P, b):
     """x * y = beta(x) . beta(y), {x, y} = [beta(x), beta(y)] for an
     averaging operator beta (k = 0); same alpha."""
+    _gate_input(P)
+    _gate(check_operator(P, OperatorClaim(b, "averaging")), "map is not an averaging operator")
     bc = b._columns
-    return _operator_twist(
-        P, b, "averaging", "map is not an averaging operator",
-        lambda: _rebuilt(P, lambda p, i, j: _product(p, bc[i], bc[j])),
-        clause=None, power=0,
-    )
+    out = _rebuilt(P, lambda p, i, j: _product(p, bc[i], bc[j]))
+    return ConstructionResult(out, certification=check_hom_poisson(out))
 
 
 def averaging_twist_untwisted(P, b):
@@ -210,12 +199,12 @@ def averaging_twist_untwisted(P, b):
     verdict is the evidence rather than an assumed property."""
     if not P.alpha.is_identity:
         raise HypothesisError("this construction starts from an untwisted algebra (alpha = id)", [])
+    _gate_factor(P)
+    _gate(check_hom_poisson(P), "input is not a Poisson color algebra")
+    _gate(check_operator(P, OperatorClaim(b, "averaging")), "map is not an averaging operator")
     bc = b._columns
-    return _operator_twist(
-        P, b, "averaging", "map is not an averaging operator",
-        lambda: _rebuilt(P, lambda p, i, j: _product(p, bc[i], {j: ONE}), alpha=b),
-        clause=None, poisson="input is not a Poisson color algebra", power=0,
-    )
+    out = _rebuilt(P, lambda p, i, j: _product(p, bc[i], {j: ONE}), alpha=b)
+    return ConstructionResult(out, certification=check_hom_poisson(out))
 
 
 def averaging_twist_power(P, b, k):
@@ -223,25 +212,24 @@ def averaging_twist_power(P, b, k):
     bijective alpha^k-averaging operator beta; same alpha.  beta is a
     morphism from the twist onto the input."""
     b.inverse()  # raises SingularMapError when not bijective
-    bc = b._columns
-
-    def build():
-        ak = P.alpha.power(k)._columns
-        return _rebuilt(P, lambda p, i, j: _product(p, bc[i], ak[j]))
-
-    return _operator_twist(
-        P, b, "averaging", f"map is not an alpha^{k}-averaging operator", build, power=k,
-    )
+    _gate_input(P)
+    _gate(check_operator(P, OperatorClaim(b, "averaging", power=k)),
+          f"map is not an alpha^{k}-averaging operator")
+    bc, ak = b._columns, P.alpha.power(k)._columns
+    out = _rebuilt(P, lambda p, i, j: _product(p, bc[i], ak[j]))
+    return ConstructionResult(out, certification=check_hom_poisson(out),
+                              morphism=check_morphism(b, out, P))
 
 
 def nijenhuis_twist(P, N):
     """Deformed products x .N y = N(x).y + x.N(y) - N(x.y), and the same
     shape for the bracket; same alpha and commutation factor.  N is a
     morphism from the twist onto the input."""
-    return _operator_twist(
-        P, N, "nijenhuis", "map is not a Nijenhuis operator",
-        lambda: _rebuilt(P, lambda p, i, j: _deformed(p, N, i, j, (-ONE, _mapped(N, _pair(p, i, j))))),
-    )
+    _gate_input(P)
+    _gate(check_operator(P, OperatorClaim(N, "nijenhuis")), "map is not a Nijenhuis operator")
+    out = _rebuilt(P, lambda p, i, j: _deformed(p, N, i, j, (-ONE, _mapped(N, _pair(p, i, j)))))
+    return ConstructionResult(out, certification=check_hom_poisson(out),
+                              morphism=check_morphism(N, out, P))
 
 
 def rota_baxter_twist(P, R, weight):
@@ -249,11 +237,12 @@ def rota_baxter_twist(P, R, weight):
     for a Rota-Baxter operator R of that weight; same alpha.  R is a
     morphism from the twist onto the input."""
     weight = _rational(weight, "weight")
-    return _operator_twist(
-        P, R, "rota-baxter", "map is not a Rota-Baxter operator of this weight",
-        lambda: _rebuilt(P, lambda p, i, j: _deformed(p, R, i, j, (weight, _pair(p, i, j)))),
-        weight=weight,
-    )
+    _gate_input(P)
+    _gate(check_operator(P, OperatorClaim(R, "rota-baxter", weight=weight)),
+          "map is not a Rota-Baxter operator of this weight")
+    out = _rebuilt(P, lambda p, i, j: _deformed(p, R, i, j, (weight, _pair(p, i, j))))
+    return ConstructionResult(out, certification=check_hom_poisson(out),
+                              morphism=check_morphism(R, out, P))
 
 
 def tensor_with_commutative(A, P):
@@ -270,20 +259,11 @@ def tensor_with_commutative(A, P):
           "left factor is not a commutative Hom-associative color algebra")
     _gate(check_hom_poisson(P), "right factor is not a Hom-Poisson color algebra")
 
-    g = A.group
-    dA, dP = A.dim, P.dim
-    degrees = tuple(
-        g.add(A.basis.degrees[i], P.basis.degrees[p])
-        for i in range(dA)
-        for p in range(dP)
-    )
-    basis = GradedBasis(g, degrees)
-    alpha_rows = tuple(
-        tuple(A.alpha.matrix[k][i] * P.alpha.matrix[r][p] for i in range(dA) for p in range(dP))
-        for k in range(dA)
-        for r in range(dP)
-    )
-    alpha = EvenLinearMap(basis, alpha_rows)
+    g, dP = A.group, P.dim
+    basis = GradedBasis(g, tuple(g.add(a, x) for a in A.basis.degrees for x in P.basis.degrees))
+    # alpha is the Kronecker product: row (k, r), column (i, p) is A[k][i] P[r][p]
+    alpha = EvenLinearMap(basis, tuple(tuple(a * x for a in ra for x in rx)
+                                       for ra in A.alpha.matrix for rx in P.alpha.matrix))
 
     def tensor(q, u, v):
         # (a_i x_p)(a_j x_r) = eps(deg x_p, deg a_j) (a_i a_j) (x) (x_p x_r)

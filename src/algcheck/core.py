@@ -39,7 +39,7 @@ _EMPTY = MappingProxyType({})
 # ---------------------------------------------------------------------------
 # bases, maps, products
 
-@record(frozen=True)
+@record
 class GradedBasis:
     group: object
     degrees: tuple
@@ -58,7 +58,7 @@ class GradedBasis:
         return len(self.degrees)
 
 
-@record(frozen=True)
+@record
 class EvenLinearMap:
     """Square rational matrix; column j is the image of basis vector j.
     Nonzero entries may only link equal degrees."""
@@ -162,7 +162,7 @@ class EvenLinearMap:
         return EvenLinearMap(self.basis, tuple(tuple(row) for row in inv))
 
 
-@record(frozen=True)
+@record
 class BilinearProduct:
     """Sparse structure constants: entries are (i, j, k, c) with
     e_i e_j = sum_k c e_k, sorted lexicographically, zero c dropped.
@@ -230,7 +230,7 @@ class BilinearProduct:
         return tuple(out)
 
 
-@record(frozen=True)
+@record
 class GradedAlgebra:
     """A graded basis with up to two structure-constant products, an even
     twisting map alpha and a commutation factor epsilon (sign bicharacter

@@ -65,7 +65,7 @@ def group_order_bound():
         ) from None
 
 
-@record(frozen=True)
+@record
 class GroupSpec:
     """A finite abelian group given as a product of cyclic factors."""
 
@@ -160,7 +160,7 @@ def _value(factor, a, b):
     return factor._table[index(a)][index(b)]
 
 
-@record(frozen=True)
+@record
 class SignBicharacter:
     """{-1, +1}-valued bicharacter given by a mod-2 exponent matrix whose
     rows and columns at odd moduli vanish (else eps(a, b) would depend on
@@ -194,7 +194,7 @@ class SignBicharacter:
         )
 
 
-@record(frozen=True)
+@record
 class MultiplierTable:
     """Total map G x G -> Q* stored rowwise in canonical element order.
 

@@ -33,7 +33,7 @@ MAX_SEARCH_DIM = 6
 MAX_SEARCH_SIZE = 200_000
 
 
-@record(frozen=True)
+@record
 class OperatorClaim:
     map: EvenLinearMap
     kind: str

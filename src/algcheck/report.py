@@ -8,7 +8,7 @@ from ._record import factory, record
 from .errors import InvalidRepresentationError
 
 
-@record(frozen=True)
+@record
 class Violation:
     indices: tuple
     lhs: tuple

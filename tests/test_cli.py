@@ -152,11 +152,42 @@ class TestTwist:
                      "--xi", "2,0", "-o", str(out)]) == 0
         assert main(["validate", str(out)]) == 0
 
-    def test_usage_errors(self, capsys):
-        assert main(["twist", fx("rb2dim_poisson"), "--construction", "rota-baxter",
-                     "--operator", "R"]) == 2  # no --weight
-        assert main(["twist", fx("rb2dim_poisson"), "--construction", "warp",
-                     "--operator", "R"]) == 2
+    @pytest.mark.parametrize("path, args", [
+        ("rb2dim_poisson", ["--construction", "rota-baxter", "--operator", "R"]),
+        ("rb2dim_poisson", ["--construction", "nijenhuis"]),
+        ("rb2dim_poisson", ["--construction", "nijenhuis", "--operator", "nope"]),
+        ("group_algebra_z2sq", ["--construction", "multiplier-sym"]),
+        ("group_algebra_z2sq", ["--construction", "multiplier-sym", "--multiplier", "nope"]),
+        ("group_algebra_z2", ["--construction", "xi"]),
+        ("comm2", ["--construction", "tensor"]),
+        ("rb2dim_poisson", ["--construction", "warp", "--operator", "R"]),
+    ], ids=["missing-weight", "missing-operator", "unknown-operator", "missing-multiplier",
+            "unknown-multiplier", "missing-xi", "missing-second", "unknown-construction"])
+    def test_usage_errors(self, capsys, path, args):
+        assert main(["twist", fx(path)] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
+    @pytest.mark.parametrize("argv, same_as", [
+        (["twist", fx("example3_corrected"), "--construction", "transport", "--operator", "Id"],
+         None),
+        (["twist", fx("group_algebra_z2"), "--construction", "averaging-power",
+          "--operator", "beta2", "--power", "1"], None),
+        (["twist", fx("comm2"), "--construction", "tensor", "--second", fx("example3_corrected")],
+         ["tensor", fx("comm2"), fx("example3_corrected")]),
+    ], ids=["transport", "averaging-power", "tensor"])
+    def test_document_on_stdout_or_output_file(self, tmp_path, capsys, argv, same_as):
+        # without -o the document goes to stdout ahead of the report lines;
+        # `same_as`, when given, writes the same document with -o
+        out = tmp_path / "out.json"
+        assert main(argv + ["-o", str(out)]) == 0
+        reports = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8") + reports
+        if same_as:
+            other = tmp_path / "other.json"
+            assert main(same_as + ["-o", str(other)]) == 0
+            assert other.read_bytes() == out.read_bytes()
 
 
 class TestTensor:

@@ -111,6 +111,15 @@ class TestMultiplierDelta:
             multiplier_twist_delta(P, s, endomorphisms=[group_algebra_z2sq.operators["beta2"]])
 
 
+@pytest.mark.parametrize("twist", [multiplier_twist_symmetric, multiplier_twist_delta])
+@pytest.mark.parametrize("moduli", [(3,), (1,)], ids=["Z3", "Z1"])
+def test_multiplier_over_another_group_refused(example3, twist, moduli):
+    # example3 is graded by Z_2: a table over another group would be read
+    # at Z_2 element indices
+    with pytest.raises(ShapeError, match="multiplier group differs from algebra group"):
+        twist(example3, MultiplierTable.constant(GroupSpec(moduli), 2))
+
+
 class TestTransport:
     def test_generic_bijection(self, example3):
         f = EvenLinearMap(example3.basis, ((1, 2, 0), (0, 1, 0), (0, 0, F(3, 5))))
@@ -126,6 +135,11 @@ class TestTransport:
             transport_along_bijection(
                 example3, EvenLinearMap.diagonal(example3.basis, (1, 0, 1))
             )
+
+    def test_map_on_another_basis_refused(self, example3, diff4):
+        f = EvenLinearMap.identity(diff4.algebra.basis)
+        with pytest.raises(ShapeError, match="map basis differs from algebra basis"):
+            transport_along_bijection(example3, f)
 
 
 class TestCentroidTwist:

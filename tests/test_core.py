@@ -199,6 +199,55 @@ class TestMorphism:
     def test_alpha_is_endomorphism_of_example3(self, example3):
         assert all_ok(check_morphism(example3.alpha, example3, example3))
 
+    def test_source_without_bracket_is_skipped(self, example3):
+        f = EvenLinearMap.identity(example3.basis)
+        reports = check_morphism(f, example3.replace(bracket=None), example3)
+        assert [r.axiom for r in reports] == ["morphism:alpha", "morphism:mu"]
+
+
+# a three-dimensional basis over Z_2 other than example3's, and Z_2 x Z_2
+OTHER_BASIS = GradedBasis(GroupSpec((2,)), ((0,), (1,), (1,)))
+Z2SQ = GroupSpec((2, 2))
+
+
+def _morphism(src, dst, basis=None):
+    """check_morphism of the identity on `basis`, by default src's."""
+    return check_morphism(EvenLinearMap.identity(basis or src.basis), src, dst)
+
+
+# every shape error of the value types and check_morphism, on example3:
+# (call, error type, message fragment)
+SHAPE_ERRORS = {
+    "basis-degree": (lambda A: GradedBasis(A.group, ((2,),)), ShapeError, "not canonical"),
+    "map-diagonal": (lambda A: EvenLinearMap.diagonal(A.basis, (1, 1)), ShapeError,
+                     "diagonal length mismatch"),
+    "map-apply": (lambda A: A.alpha.apply((1, 1)), ShapeError, "vector length mismatch"),
+    "map-power": (lambda A: A.alpha.power(-1), ShapeError, "negative map power"),
+    "algebra-basis-group": (lambda A: A.replace(basis=GradedBasis(Z2SQ, ((0, 0),) * 3)),
+                            ShapeError, "basis group differs"),
+    "algebra-epsilon-group": (lambda A: A.replace(epsilon=SignBicharacter(Z2SQ, ((0, 0), (0, 0)))),
+                              ShapeError, "commutation factor group differs"),
+    "algebra-product-basis": (lambda A: A.replace(mu=BilinearProduct.zero(OTHER_BASIS)),
+                              ShapeError, "product basis differs"),
+    "algebra-alpha-basis": (lambda A: A.replace(alpha=EvenLinearMap.identity(OTHER_BASIS)),
+                            ShapeError, "alpha basis differs"),
+    "morphism-dimensions": (lambda A: _morphism(A, A, GradedBasis(A.group, ((0,),))),
+                            ShapeError, "equal dimensions"),
+    "morphism-groups": (lambda A: _morphism(load_fixture("diff4").algebra,
+                                            load_fixture("group_algebra_z2sq").algebra),
+                        ShapeError, "common grading group"),
+    "morphism-target-product": (lambda A: _morphism(A, A.replace(bracket=None)),
+                                MissingComponentError, "target algebra has no bracket"),
+    "group-reduce": (lambda A: A.group.reduce((0, 0)), ShapeError, "expected 1 coordinates"),
+}
+
+
+@pytest.mark.parametrize("case", SHAPE_ERRORS)
+def test_shape_error(example3, case):
+    call, error, message = SHAPE_ERRORS[case]
+    with pytest.raises(error, match=message):
+        call(example3)
+
 
 # every library entry point that takes a rational, fed x
 EXACT_SITES = {

@@ -52,7 +52,7 @@ VALUE_TYPES = [
     (ConstructionResult, ["algebra", "certification", "morphism", "findings"],
      lambda: (_algebra(), [AxiomReport("law")], [], [])),
 ]
-MUTABLE = (AxiomReport, AlgebraDocument, ConstructionResult)
+UNHASHABLE = (AxiomReport, AlgebraDocument, ConstructionResult)  # list or dict fields
 
 
 @pytest.mark.parametrize("cls, names, inputs", VALUE_TYPES,
@@ -61,15 +61,15 @@ def test_value_type(cls, names, inputs):
     a, b = cls(*inputs()), cls(**dict(zip(names, inputs())))
     assert a is not b and a == b and not a != b
     assert a != object() and list(vars(a)) == names
-    if cls in MUTABLE:
+    if cls in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(a)
     else:
         assert hash(a) == hash(b)
-        with pytest.raises(AttributeError):
-            setattr(a, names[0], getattr(b, names[0]))
-        with pytest.raises(AttributeError):
-            delattr(a, names[-1])
+    with pytest.raises(AttributeError):
+        setattr(a, names[0], getattr(b, names[0]))
+    with pytest.raises(AttributeError):
+        delattr(a, names[-1])
     fields = ", ".join(f"{name}={getattr(a, name)!r}" for name in names)
     assert repr(a) == f"{cls.__qualname__}({fields})"
     with pytest.raises(TypeError):
