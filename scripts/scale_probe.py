@@ -17,6 +17,14 @@ weight -2), also in process.  It then prints the end-to-end seconds of
 Z_2^8, run in a fresh interpreter the way the console script runs it:
 the median over CLI_RUNS interpreters of the wall time and of the child's
 CPU time.  Every verdict must be PASS.
+
+Before that line it prints a start-up table, the median child CPU over
+CLI_RUNS fresh interpreters of a bare interpreter, of
+`import algcheck.cli`, and of `validate` on example3_corrected through
+entry(), each ending with os._exit, and of the same `validate` through
+sys.exit(main()), which finalizes the interpreter.  Each row's CPU over
+the row above is one item of a job's budget: interpreter, import, work,
+finalization.
 """
 
 import os
@@ -57,6 +65,18 @@ from algcheck.operators import KINDS  # noqa: E402
 ORDERS = (16, 32, 64, 256)
 DIMS = (8, 16, 32)
 CLI_RUNS = 11
+ENTRY = "from algcheck.cli import entry; entry()"
+# start-up rows: (label, `python -c` code, whether it validates
+# example3_corrected); each row's CPU over the row above is the budget item
+# in its label.  All rows but the last end with os._exit, as entry() does,
+# so that finalization shows in the last row alone.
+STARTUP = (
+    ("interpreter: `os._exit(0)`", "import os; os._exit(0)", False),
+    ("import: `import algcheck.cli`", "import os, algcheck.cli; os._exit(0)", False),
+    ("work: `validate` through entry()", ENTRY, True),
+    ("finalization: `validate` through sys.exit(main())",
+     "import sys; from algcheck.cli import main; sys.exit(main())", True),
+)
 
 
 def _timed(fn, *args, **kwargs):
@@ -129,25 +149,41 @@ def _child_cpu():
     return usage.ru_utime + usage.ru_stime
 
 
+def child_seconds(code, *args, runs=CLI_RUNS):
+    """Median (wall, CPU) seconds of `python -c code args` over `runs` fresh
+    interpreters, each of which must exit 0.  The run waits without a
+    timeout, so the wall time carries no polling delay."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    walls, cpus = [], []
+    for _ in range(runs):
+        cpu, start = _child_cpu(), time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True)
+        walls.append(time.perf_counter() - start)
+        cpus.append(_child_cpu() - cpu)
+        if done.returncode != 0:
+            raise AssertionError(f"{code} {args} exited {done.returncode}: "
+                                 f"{done.stdout}{done.stderr}")
+    return statistics.median(walls), statistics.median(cpus)
+
+
 def cli_validate_seconds(rank=8, runs=CLI_RUNS):
     """Median (wall, CPU) seconds of `algcheck validate` on
-    line_document(rank) over `runs` fresh interpreters.  The run waits
-    without a timeout, so the wall time carries no polling delay."""
+    line_document(rank) over `runs` interpreters, run the way the console
+    script runs it."""
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "line.json"
         path.write_text(line_document(rank), encoding="utf-8")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        cmd = [sys.executable, "-c", "from algcheck.cli import entry; entry()", "validate", str(path)]
-        walls, cpus = [], []
-        for _ in range(runs):
-            cpu, start = _child_cpu(), time.perf_counter()
-            done = subprocess.run(cmd, env=env, capture_output=True, text=True)
-            walls.append(time.perf_counter() - start)
-            cpus.append(_child_cpu() - cpu)
-            if done.returncode != 0:
-                raise AssertionError(f"validate exited {done.returncode}: {done.stdout}{done.stderr}")
-    return statistics.median(walls), statistics.median(cpus)
+        return child_seconds(ENTRY, "validate", str(path), runs=runs)
+
+
+def startup_cpu(runs=CLI_RUNS):
+    """Median child CPU seconds of each STARTUP row over `runs`
+    interpreters, in order."""
+    example = str(SRC.parent / "fixtures" / "example3_corrected.json")
+    return [child_seconds(code, *(["validate", example] if validate else []), runs=runs)[1]
+            for _, code, validate in STARTUP]
 
 
 def main(argv=None):
@@ -164,6 +200,13 @@ def main(argv=None):
     for dim in DIMS:
         poisson, operators = dimension_seconds(dim)
         print(f"| {dim} | {poisson:.3f} s | " + " | ".join(f"{operators[k]:.3f} s" for k in KINDS) + " |")
+    print()
+    print(f"| start-up, median child CPU of {CLI_RUNS} interpreters | CPU | over the row above |")
+    print("|---|---|---|")
+    previous = 0.0
+    for (label, _, _), cpu in zip(STARTUP, startup_cpu()):
+        print(f"| {label} | {cpu * 1000:.1f} ms | {(cpu - previous) * 1000:+.1f} ms |")
+        previous = cpu
     print()
     wall, cpu = cli_validate_seconds(8)
     print(f"CLI validate, dim 1, sign bicharacter over Z_2^8, median of {CLI_RUNS} runs: "

@@ -6,6 +6,7 @@ Exit codes: 0 all checks pass, 1 an axiom or hypothesis gate failed,
 
 import argparse
 import json
+import os
 import sys
 
 from . import constructions
@@ -254,7 +255,21 @@ def main(argv=None):
 
 
 def entry():
-    sys.exit(main())
+    """The `algcheck` command: run main(), flush stdout and stderr, then end
+    the process with os._exit, skipping interpreter finalization (module
+    teardown, the final GC passes, freeing the heap), as mypy's hard_exit
+    does.  Every file the CLI writes is closed by a `with` block before
+    main returns, so the two streams are all that holds unwritten output.
+    If a flush fails, sys.exit reports it the ordinary way (exit 120 with
+    stdout on /dev/full); an exception or SystemExit escaping main (usage
+    errors, --help, KeyboardInterrupt) also takes the ordinary exit."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -113,7 +113,9 @@ class EvenLinearMap:
         return tuple(row[j] for row in self.matrix)
 
     def compose(self, other):
-        """self after other."""
+        """self after other, both on the same basis."""
+        if self.basis != other.basis:
+            raise ShapeError("composed maps need a common basis")
         n = self.basis.dim
         return EvenLinearMap(
             self.basis,
@@ -453,11 +455,14 @@ def commutator_bracket(A):
 
 def check_morphism(f, src, dst):
     """f : src -> dst must intertwine alpha and preserve every product
-    src carries (which dst must then carry as well)."""
+    src carries (which dst must then carry as well).  f, src and dst share
+    one basis: f's matrix is read on it."""
     if f.basis.dim != src.basis.dim or src.basis.dim != dst.basis.dim:
         raise ShapeError("morphism check needs equal dimensions")
     if src.group != dst.group:
         raise ShapeError("morphism check needs a common grading group")
+    if not f.basis == src.basis == dst.basis:
+        raise ShapeError("morphism check needs a common basis")
     reports = [_intertwines("morphism:alpha", f, src.alpha, dst.alpha)]
     columns = f._columns
     for name in ("mu", "bracket"):

@@ -71,6 +71,12 @@ NON_BICHARACTER = [
 ]
 
 
+# a three-dimensional basis over Z_2 other than example3's (degrees
+# (0),(0),(1)), and the even map on it that swaps e1 and e2
+OTHER_BASIS = GradedBasis(GroupSpec((2,)), ((0,), (1,), (1,)))
+SWAP_ON_OTHER_BASIS = EvenLinearMap(OTHER_BASIS, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+
+
 def three_dim(a=F(2), exponent=1, corrected=True):
     """The 3-dim parameterized fixture over Z_2, in both table variants."""
     g = GroupSpec((2,))

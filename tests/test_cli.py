@@ -298,3 +298,73 @@ def test_import_leaves_out_dataclasses_and_inspect():
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+# ---------------------------------------------------------------------------
+# the console script's entry(): flush, then os._exit; stdout, stderr and the
+# exit code must be those of main() in process
+
+ENTRY = "from algcheck.cli import entry; entry()"
+
+
+def run_entry(argv, stdout=subprocess.PIPE, unbuffered=False):
+    """entry() in a fresh interpreter, its stdout block-buffered unless
+    `unbuffered`, so that output left unflushed at exit would be lost."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(FIXTURES.parent / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-c", ENTRY, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", fx("example3_corrected")], 0),
+    (["report", fx("example3_as_printed")], 1),
+    (["validate", "no-such-file.json"], 2),
+    (["validate", "--json", fx("rb2dim")], 0),
+], ids=["validate", "report", "missing-file", "validate-json"])
+def test_entry_matches_main(capsys, argv, code):
+    done = run_entry(argv)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (done.returncode, done.stdout, done.stderr) == (
+        code, captured.out.encode("utf-8"), captured.err.encode("utf-8"))
+    if argv[0] == "report":
+        assert done.stdout == (FIXTURES / "reports" / "example3_as_printed.validate.txt").read_bytes()
+    if code == 2:
+        assert done.stderr.startswith(b"error:")
+
+
+def test_entry_writes_the_output_file_in_full(tmp_path, capsys):
+    argv = ["twist", fx("rb2dim_poisson"), "--construction", "rota-baxter",
+            "--operator", "R", "--weight", "1/2", "-o"]
+    done = run_entry(argv + [str(tmp_path / "entry.json")])
+    assert main(argv + [str(tmp_path / "main.json")]) == 0
+    assert (done.returncode, done.stdout) == (0, capsys.readouterr().out.encode("utf-8"))
+    assert (tmp_path / "entry.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
+def test_entry_usage_error_exits_through_argparse(capsys):
+    argv = ["validate"]
+    done = run_entry(argv)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert (done.returncode, done.stderr) == (2, capsys.readouterr().err.encode("utf-8"))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered, code, message", [
+    # buffered stdout: the flush in entry() fails, and sys.exit reports it
+    (False, 120, b"Exception ignored in: <_io.TextIOWrapper name='<stdout>'"),
+    # unbuffered stdout: print() fails inside main(), whose traceback exits 1
+    (True, 1, b"Traceback (most recent call last)"),
+], ids=["buffered", "unbuffered"])
+def test_entry_on_a_full_device(unbuffered, code, message):
+    with open("/dev/full", "wb") as full:
+        done = run_entry(["validate", fx("example3_corrected")], stdout=full,
+                         unbuffered=unbuffered)
+    assert done.returncode == code
+    assert message in done.stderr
+    assert b"OSError: [Errno 28]" in done.stderr

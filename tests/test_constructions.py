@@ -27,7 +27,7 @@ from algcheck import (
     xi_twist,
 )
 
-from conftest import NON_BICHARACTER, load_fixture, three_dim
+from conftest import NON_BICHARACTER, SWAP_ON_OTHER_BASIS, load_fixture, three_dim
 
 
 class TestXiTwist:
@@ -109,6 +109,12 @@ class TestMultiplierDelta:
         s = group_algebra_z2sq.multipliers["sigma_asym"]
         with pytest.raises(HypothesisError):
             multiplier_twist_delta(P, s, endomorphisms=[group_algebra_z2sq.operators["beta2"]])
+
+    def test_map_on_another_basis_refused(self, example3):
+        # the same dimension and group as example3, but not its basis
+        with pytest.raises(ShapeError, match="morphism check needs a common basis"):
+            multiplier_twist_delta(example3, MultiplierTable.constant(example3.group, 2),
+                                   endomorphisms=[SWAP_ON_OTHER_BASIS])
 
 
 @pytest.mark.parametrize("twist", [multiplier_twist_symmetric, multiplier_twist_delta])

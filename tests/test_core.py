@@ -30,7 +30,7 @@ from algcheck import (
     xi_twist,
 )
 
-from conftest import load_fixture, three_dim
+from conftest import OTHER_BASIS, SWAP_ON_OTHER_BASIS, load_fixture, three_dim
 
 
 def test_apply_product_examples(example3):
@@ -205,8 +205,6 @@ class TestMorphism:
         assert [r.axiom for r in reports] == ["morphism:alpha", "morphism:mu"]
 
 
-# a three-dimensional basis over Z_2 other than example3's, and Z_2 x Z_2
-OTHER_BASIS = GradedBasis(GroupSpec((2,)), ((0,), (1,), (1,)))
 Z2SQ = GroupSpec((2, 2))
 
 
@@ -223,6 +221,8 @@ SHAPE_ERRORS = {
                      "diagonal length mismatch"),
     "map-apply": (lambda A: A.alpha.apply((1, 1)), ShapeError, "vector length mismatch"),
     "map-power": (lambda A: A.alpha.power(-1), ShapeError, "negative map power"),
+    "map-compose-basis": (lambda A: A.alpha.compose(SWAP_ON_OTHER_BASIS), ShapeError,
+                          "composed maps need a common basis"),
     "algebra-basis-group": (lambda A: A.replace(basis=GradedBasis(Z2SQ, ((0, 0),) * 3)),
                             ShapeError, "basis group differs"),
     "algebra-epsilon-group": (lambda A: A.replace(epsilon=SignBicharacter(Z2SQ, ((0, 0), (0, 0)))),
@@ -233,6 +233,8 @@ SHAPE_ERRORS = {
                             ShapeError, "alpha basis differs"),
     "morphism-dimensions": (lambda A: _morphism(A, A, GradedBasis(A.group, ((0,),))),
                             ShapeError, "equal dimensions"),
+    "morphism-basis": (lambda A: check_morphism(SWAP_ON_OTHER_BASIS, A, A),
+                       ShapeError, "common basis"),
     "morphism-groups": (lambda A: _morphism(load_fixture("diff4").algebra,
                                             load_fixture("group_algebra_z2sq").algebra),
                         ShapeError, "common grading group"),

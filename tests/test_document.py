@@ -16,6 +16,7 @@ from algcheck import (
     serialize_document,
 )
 from algcheck.cli import main
+from algcheck.operators import KINDS
 
 from conftest import FIXTURES, WRONG_TYPED_FIELDS, rb2dim_with
 
@@ -212,12 +213,19 @@ def test_hostile_values_keep_the_exit_code_contract(tmp_path_factory, site, valu
         raw = value
     text = json.dumps(raw)
     try:
-        parse_document(text)
+        parsed = parse_document(text)
     except DocumentError:
         return  # the only exception parse_document may raise
     doc = tmp_path_factory.getbasetemp() / "hostile.json"
     doc.write_text(text, encoding="utf-8")
-    for argv in (["validate", str(doc)], ["validate", "--commutative", "--json", str(doc)]):
+    path = str(doc)
+    argvs = [["validate", path], ["validate", "--commutative", "--json", path],
+             ["twist", path, "--construction", "transport", "--operator", "Id"]]
+    argvs += [["check-operator", path, "--name", name, "--kind", kind, "--weight", "1/2"]
+              for name in sorted(parsed.operators) for kind in KINDS]
+    argvs += [["twist", path, "--construction", "multiplier-sym", "--multiplier", name]
+              for name in sorted(parsed.multipliers)]
+    for argv in argvs:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)
 

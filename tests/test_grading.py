@@ -265,3 +265,5 @@ def test_scale_probe_runs_at_small_orders():
     assert poisson >= 0 and sorted(operators) == sorted(probe.KINDS)
     wall, cpu = probe.cli_validate_seconds(rank=4, runs=1)
     assert wall > 0 and cpu > 0
+    cpus = probe.startup_cpu(runs=1)
+    assert len(cpus) == len(probe.STARTUP) and all(cpu > 0 for cpu in cpus)
