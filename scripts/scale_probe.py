@@ -12,7 +12,10 @@ takes on the delta of the multiplier (-1)^(x_0 y_1) 2/3, all in process.
 For each dimension in DIMS it prints the seconds `check_hom_poisson` takes
 on the eps-commutator of the group algebra K[Z_2^r], and the seconds
 `check_operator` takes on 2 id for every operator kind (Rota-Baxter at
-weight -2), also in process.  It then prints the end-to-end seconds of
+weight -2), also in process.  For each rank r in GRASSMANN_RANKS it
+prints the seconds `check_hom_associative` takes on the Grassmann algebra
+of K^r, a sparse algebra (3^r of its 4^r basis pairs have a nonzero
+product), and that count of pairs.  It then prints the end-to-end seconds of
 `algcheck validate` on a dim-1 document with a sign bicharacter over
 Z_2^8, run in a fresh interpreter the way the console script runs it:
 the median over CLI_RUNS interpreters of the wall time and of the child's
@@ -51,6 +54,7 @@ from algcheck import (  # noqa: E402
     OperatorClaim,
     SignBicharacter,
     all_ok,
+    check_hom_associative,
     check_hom_poisson,
     check_operator,
     commutator_bracket,
@@ -64,6 +68,7 @@ from algcheck.operators import KINDS  # noqa: E402
 
 ORDERS = (16, 32, 64, 256)
 DIMS = (8, 16, 32)
+GRASSMANN_RANKS = (5, 6)
 CLI_RUNS = 11
 ENTRY = "from algcheck.cli import entry; entry()"
 # start-up rows: (label, `python -c` code, whether it validates
@@ -133,6 +138,30 @@ def dimension_seconds(dim):
         kind: _timed(check_operator, A, claim) for kind, claim in claims.items()}
 
 
+def grassmann(rank):
+    """The Grassmann algebra of K^rank with alpha = id, graded by Z_2^rank
+    with the all-ones exponent matrix: e_I has the indicator of I as its
+    degree, and e_I e_J = (-1)^#{i in I, j in J : i > j} e_{I u J} when I
+    and J are disjoint, else 0."""
+    g = GroupSpec((2,) * rank)
+    eps = SignBicharacter(g, ((1,) * rank,) * rank)
+    els = g.elements()
+    index = {x: i for i, x in enumerate(els)}
+    basis = GradedBasis(g, els)
+    mu = BilinearProduct(basis, tuple(
+        (i, j, index[g.add(x, y)],
+         (-1) ** sum(x[a] * y[b] for a in range(rank) for b in range(a)))
+        for i, x in enumerate(els) for j, y in enumerate(els)
+        if not any(a and b for a, b in zip(x, y))))
+    return GradedAlgebra(g, eps, basis, mu, None, EvenLinearMap.identity(basis))
+
+
+def grassmann_seconds(rank):
+    """(check_hom_associative seconds, nonzero pairs) on grassmann(rank)."""
+    A = grassmann(rank)
+    return _timed(lambda: [check_hom_associative(A)]), len(A.mu.entries)
+
+
 def line_document(rank):
     """A dim-1 algebra in degree 0 over Z_2^rank with the identity exponent
     matrix: the unital line e e = e, alpha = id."""
@@ -200,6 +229,12 @@ def main(argv=None):
     for dim in DIMS:
         poisson, operators = dimension_seconds(dim)
         print(f"| {dim} | {poisson:.3f} s | " + " | ".join(f"{operators[k]:.3f} s" for k in KINDS) + " |")
+    print()
+    print("| r | dim | nonzero pairs | check_hom_associative |")
+    print("|---|---|---|---|")
+    for rank in GRASSMANN_RANKS:
+        seconds, pairs = grassmann_seconds(rank)
+        print(f"| {rank} | {2 ** rank} | {pairs} | {seconds:.3f} s |")
     print()
     print(f"| start-up, median child CPU of {CLI_RUNS} interpreters | CPU | over the row above |")
     print("|---|---|---|")

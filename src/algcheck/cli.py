@@ -255,20 +255,20 @@ def main(argv=None):
 
 
 def entry():
-    """The `algcheck` command: run main(), flush stdout and stderr, then end
-    the process with os._exit, skipping interpreter finalization (module
-    teardown, the final GC passes, freeing the heap), as mypy's hard_exit
-    does.  Every file the CLI writes is closed by a `with` block before
-    main returns, so the two streams are all that holds unwritten output.
-    If a flush fails, sys.exit reports it the ordinary way (exit 120 with
-    stdout on /dev/full); an exception or SystemExit escaping main (usage
-    errors, --help, KeyboardInterrupt) also takes the ordinary exit."""
-    code = main()
+    """The `algcheck` command: run main(), flush stdout, then end the process
+    with os._exit, skipping interpreter finalization (module teardown, the
+    final GC passes, freeing the heap), as mypy's hard_exit does.  Files
+    the CLI writes are closed by then, and stderr is line-buffered.  main
+    reports other files' OSErrors itself, so one here is a failed write to
+    stdout (a full device, a closed pipe): one `error: io at <stdout>` line
+    on stderr, exit 2.  SystemExit and other exceptions escaping main
+    (usage errors, --help) take the ordinary exit."""
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except Exception:
-        sys.exit(code)
+        code = main()
+        print(end="", flush=True)  # flushes stdout, unless it was never open
+    except OSError as exc:
+        code = EXIT_ERROR
+        print(f"error: io at <stdout>: {exc}", file=sys.stderr)
     os._exit(code)
 
 

@@ -9,10 +9,10 @@ identity on the whole algebra by multilinearity.
 The sweeps run on sparse vectors, {index: Fraction} dicts with zeros
 dropped: a product visits only the nonzero x_i and, in the product's row
 index for i, only the nonzero y_j; a map reads its sparse columns.  Each
-sweep still visits every basis tuple.  Only a recorded violation is
-expanded into dense tuples of Fraction.  The public `apply`, `of_pair`
-and `column` methods work on dense tuples; the test suite's dense
-reference is written with them alone.
+checker is one `report._sweep` call, through `_sweep`, over every basis
+tuple; only a recorded violation is expanded into dense tuples of
+Fraction.  The public `apply`, `of_pair` and `column` work on dense
+tuples; the test suite's dense reference is written with them alone.
 """
 
 import itertools
@@ -29,7 +29,7 @@ from .errors import (
     SingularMapError,
 )
 from .grading import _integers, _rational
-from .report import AxiomReport
+from . import report
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -302,13 +302,9 @@ def _product(p, x, y):
 
 
 def _mapped(m, x):
-    """m(x), read from m's sparse columns."""
-    acc = {}
+    """m(x): the sum of x_j times m's sparse column j."""
     columns = m._columns
-    for j, xj in x.items():
-        for i, c in columns[j].items():
-            acc[i] = acc[i] + c * xj if i in acc else c * xj
-    return _nonzero(acc)
+    return _combined(*[(xj, columns[j]) for j, xj in x.items()])
 
 
 def _combined(*terms):
@@ -382,13 +378,17 @@ def _leibniz_residual(A, i, j, k):
 def _sweep(label, n, arity, residual):
     """One report for `label` over every basis tuple of the given arity;
     `residual(*indices)` returns the sparse (lhs, rhs) pair that must
-    agree, expanded into dense tuples only when recorded."""
-    rep = AxiomReport(label)
-    for idx in itertools.product(range(n), repeat=arity):
-        lhs, rhs = residual(*idx)
-        if lhs != rhs:
-            rep.record(idx, _dense(lhs, n), _dense(rhs, n))
-    return rep
+    agree.  report._sweep compares a row's pairs as two tuples; a
+    violating pair is kept from its row, not computed again (a cost
+    failing jobs felt), and expanded into dense tuples."""
+    pairs = []  # the row being compared
+
+    def sides(*row):
+        pairs[:] = [residual(*row, z) for z in range(n)]
+        return zip(*pairs)
+
+    return report._sweep(label, n, arity, sides,
+                         lambda *idx: (idx, *(_dense(v, n) for v in pairs[idx[-1]])))
 
 
 def _intertwines(label, f, src_alpha, dst_alpha):

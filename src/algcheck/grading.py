@@ -12,15 +12,14 @@ derives its element tuple (`_els`) and its addition table (`_sums`: the
 index of a + b, for the indices of a and b), and every commutation
 factor one value table indexed the same way (`_table`), which its
 `value` reads; each is a property of the object's fields, built at most
-once.  Each law is one `_row_sweep` call of arity 1 to 3, except the
-sign laws that hold in closed form.  A sweep compares the values over
-the last index as lists, a row at a time; index order is lexicographic
-element order, so violations come out in tuple-loop order, with element
-tuples and the table's own Fraction values.  A sign matrix is well
-defined on the group by construction, so a sign bicharacter sweeps only
-its skew-symmetry pairs (see `validate_bicharacter`); multiplier and
-table laws compare integers (see `validate_multiplier` and
-`validate_bicharacter_table`).
+once.  Each law is one `report._sweep` call of arity 1 to 3, except
+the sign laws that hold in closed form, with lists over the last index
+as its sides; index order is lexicographic element order, and a
+violation carries element tuples and the table's own Fraction values.
+A sign matrix is well defined on the group by construction, so a sign
+bicharacter sweeps only its skew-symmetry pairs (see
+`validate_bicharacter`); multiplier and table laws compare integers (see
+`validate_multiplier` and `validate_bicharacter_table`).
 """
 
 import itertools
@@ -31,7 +30,7 @@ from functools import cached_property
 
 from ._record import record
 from .errors import InvalidRepresentationError, ShapeError
-from .report import AxiomReport
+from .report import AxiomReport, _sweep
 
 DEFAULT_GROUP_BOUND = 256
 
@@ -234,21 +233,6 @@ class MultiplierTable:
         return self.values
 
 
-def _row_sweep(label, n, arity, sides, exact):
-    """The report for `label` over every index tuple of length `arity`.  For
-    each row (every index but the last) sides(*row) gives lists over the
-    last index that must all equal the first; at each last index z where
-    one does not, exact(*row, z) gives the recorded (indices, lhs, rhs)."""
-    rep = AxiomReport(label)
-    for row in itertools.product(range(n), repeat=arity - 1):
-        first, *rest = sides(*row)
-        if any(r != first for r in rest):
-            for z in range(n):
-                if any(r[z] != first[z] for r in rest):
-                    rep.record(*exact(*row, z))
-    return rep
-
-
 def validate_bicharacter(e):
     """The bicharacter laws for a SignBicharacter, in closed form.
 
@@ -274,8 +258,8 @@ def validate_bicharacter(e):
         form = forms[a][1]
         return (zeros, [(form & bits).bit_count() & 1 for bits, _ in forms]) if form else (zeros,)
 
-    skew = _row_sweep("bicharacter:skew-symmetry", len(els), 2, parities,
-                      lambda a, b: ((els[a], els[b]), (MINUS_ONE,), (ONE,)))
+    skew = _sweep("bicharacter:skew-symmetry", len(els), 2, parities,
+                  lambda a, b: ((els[a], els[b]), (MINUS_ONE,), (ONE,)))
     return [skew] + [AxiomReport(f"bicharacter:{law}") for law in (
         "additivity-left", "additivity-right", "identity-element", "diagonal-sign")]
 
@@ -300,26 +284,26 @@ def validate_bicharacter_table(t):
     d, ints = _cleared(val)
     cols = [list(col) for col in zip(*ints)]
     square = [d * d] * n
-    skew = _row_sweep("bicharacter:skew-symmetry", n, 2,
-                      lambda a: (square, [x * y for x, y in zip(ints[a], cols[a])]),
-                      lambda a, b: ((els[a], els[b]), (val[a][b] * val[b][a],), (ONE,)))
+    skew = _sweep("bicharacter:skew-symmetry", n, 2,
+                  lambda a: (square, [x * y for x, y in zip(ints[a], cols[a])]),
+                  lambda a, b: ((els[a], els[b]), (val[a][b] * val[b][a],), (ONE,)))
     # eps(a, b + c) = eps(a, b) eps(a, c)
-    left = _row_sweep(
+    left = _sweep(
         "bicharacter:additivity-left", n, 3,
         lambda a, b: ([d * ints[a][k] for k in sums[b]], [ints[a][b] * x for x in ints[a]]),
         lambda a, b, c: ((els[a], els[b], els[c]), (val[a][sums[b][c]],),
                          (val[a][b] * val[a][c],)))
     # eps(a + b, c) = eps(a, c) eps(b, c)
-    right = _row_sweep(
+    right = _sweep(
         "bicharacter:additivity-right", n, 3,
         lambda a, b: ([d * x for x in ints[sums[a][b]]], [x * y for x, y in zip(ints[a], ints[b])]),
         lambda a, b, c: ((els[a], els[b], els[c]), (val[sums[a][b]][c],),
                          (val[a][c] * val[b][c],)))
-    unit = _row_sweep("bicharacter:identity-element", n, 1, lambda: ([d] * n, cols[0], ints[0]),
-                      lambda a: ((els[a],), (val[a][0],), (val[0][a],)))
-    diag = _row_sweep("bicharacter:diagonal-sign", n, 1,
-                      lambda: (square, [ints[a][a] ** 2 for a in range(n)]),
-                      lambda a: ((els[a],), (val[a][a],), (ONE,)))
+    unit = _sweep("bicharacter:identity-element", n, 1, lambda: ([d] * n, cols[0], ints[0]),
+                  lambda a: ((els[a],), (val[a][0],), (val[0][a],)))
+    diag = _sweep("bicharacter:diagonal-sign", n, 1,
+                  lambda: (square, [ints[a][a] ** 2 for a in range(n)]),
+                  lambda a: ((els[a],), (val[a][a],), (ONE,)))
     return [skew, left, right, unit, diag]
 
 
@@ -350,7 +334,7 @@ def validate_multiplier(s, symmetric=False):
         row = ints[x]
         return [row[k] * c for k, c in zip(sums[y], ints[y])]
 
-    cocycle = _row_sweep(
+    cocycle = _sweep(
         "multiplier:cocycle", n, 3,
         lambda x, y: (after(x, y), [ints[x][y] * c for c in ints[sums[x][y]]]),
         lambda x, y, z: ((els[x], els[y], els[z]), (val[x][sums[y][z]] * val[y][z],),
@@ -358,7 +342,7 @@ def validate_multiplier(s, symmetric=False):
     reports = [cocycle]
     if symmetric:
         cols = [list(col) for col in zip(*ints)]
-        sym = _row_sweep(
+        sym = _sweep(
             "multiplier:symmetry", n, 2, lambda x: (ints[x], cols[x]),
             lambda x, y: ((els[x], els[y]), (val[x][y],), (val[y][x],)))
 
@@ -368,7 +352,7 @@ def validate_multiplier(s, symmetric=False):
             return ([ints[x][y] * c for c in cols[sums[x][y]]], after(x, y),
                     [c * row[k] for c, k in zip(cols[x], sums[x])])
 
-        cyc = _row_sweep(
+        cyc = _sweep(
             "multiplier:cyclic-invariance", n, 3, cyclic,
             lambda x, y, z: ((els[x], els[y], els[z]), (val[x][y] * val[z][sums[x][y]],),
                              (val[y][z] * val[x][sums[y][z]], val[z][x] * val[y][sums[z][x]])))

@@ -2,8 +2,8 @@
 
 Decides whether an even linear map is a centroid element, averaging
 operator, Rota-Baxter operator or Nijenhuis operator, for each product
-the algebra carries.  Every predicate is one `core._sweep` over the
-basis pairs per product and law, returning the full list of violations.
+the algebra carries.  Every predicate is one `report._sweep`, through
+`core._sweep`, over the basis pairs per product and law.
 """
 
 import itertools

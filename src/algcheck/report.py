@@ -1,8 +1,10 @@
-"""Violation records produced by the exhaustive axiom sweeps.
+"""Violation records, and `_sweep`, the one loop that checks a law on tuples.
 
 A report is empty exactly when the checked identity holds on every basis
 tuple, which by multilinearity certifies it on the whole algebra.
 """
+
+import itertools
 
 from ._record import factory, record
 from .errors import InvalidRepresentationError
@@ -23,9 +25,6 @@ class AxiomReport:
     @property
     def ok(self):
         return not self.violations
-
-    def record(self, indices, lhs, rhs):
-        self.violations.append(Violation(tuple(indices), tuple(lhs), tuple(rhs)))
 
     def render(self, full=False):
         if self.ok:
@@ -53,6 +52,22 @@ class AxiomReport:
                 for v in self.violations
             ],
         }
+
+
+def _sweep(label, n, arity, sides, exact):
+    """The report for `label` over every index tuple of length `arity` in
+    range(n), violations in index order, built in one step.  For each row
+    (every index but the last) sides(*row) gives sequences over the last
+    index that must all equal the first; at each last index z where one
+    does not, exact(*row, z), called before the next row's sides, gives
+    the violation's (indices, lhs, rhs) tuples."""
+    violations = []
+    for row in itertools.product(range(n), repeat=arity - 1):
+        first, *rest = sides(*row)
+        if any(r != first for r in rest):
+            violations.extend(Violation(*exact(*row, z)) for z in range(n)
+                              if any(r[z] != first[z] for r in rest))
+    return AxiomReport(label, violations)
 
 
 def _text(x):

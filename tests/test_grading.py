@@ -263,6 +263,7 @@ def test_scale_probe_runs_at_small_orders():
         probe.sweep_seconds(12)
     poisson, operators = probe.dimension_seconds(8)
     assert poisson >= 0 and sorted(operators) == sorted(probe.KINDS)
+    assert [probe.grassmann_seconds(r)[1] for r in (1, 2, 3)] == [3, 9, 27]
     wall, cpu = probe.cli_validate_seconds(rank=4, runs=1)
     assert wall > 0 and cpu > 0
     cpus = probe.startup_cpu(runs=1)

@@ -84,6 +84,6 @@ def test_value_type(cls, names, inputs):
 
 def test_factory_defaults_are_fresh_per_instance():
     first, second = AxiomReport("law"), AxiomReport("law")
-    first.record((0,), (1,), (2,))
+    first.violations.append(Violation((0,), (1,), (2,)))
     assert first.violations and second.violations == []
     assert not hasattr(AxiomReport, "violations")
