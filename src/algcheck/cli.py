@@ -192,8 +192,17 @@ def cmd_twist(args):
                  findings=result.findings, **document)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subparsers, whose --help is
+    written with print(): a failed write to stdout raises, where argparse
+    would swallow it, and with fd 1 closed nothing is written."""
+
+    def print_help(self, file=None):
+        print(self.format_help(), end="", file=file)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="algcheck",
         description="Exact verification and twisting of group-graded Hom-algebras.",
     )
@@ -261,10 +270,14 @@ def entry():
     the CLI writes are closed by then, and stderr is line-buffered.  main
     reports other files' OSErrors itself, so one here is a failed write to
     stdout (a full device, a closed pipe): one `error: io at <stdout>` line
-    on stderr, exit 2.  SystemExit and other exceptions escaping main
-    (usage errors, --help) take the ordinary exit."""
+    on stderr, exit 2.  argparse's SystemExit (usage errors, --help) gives
+    the exit code, after the same flush; other exceptions escaping main
+    take the ordinary exit."""
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
         print(end="", flush=True)  # flushes stdout, unless it was never open
     except OSError as exc:
         code = EXIT_ERROR

@@ -156,8 +156,8 @@ def transport_along_bijection(Pp, f):
     alpha = f^-1 alpha' f.  f becomes a morphism onto Pp."""
     if f.basis != Pp.basis:
         raise ShapeError("map basis differs from algebra basis")
-    _gate_factor(Pp)
     finv, fc = f.inverse(), f._columns
+    _gate_factor(Pp)
     out = _rebuilt(Pp, lambda p, i, j: _mapped(finv, _product(p, fc[i], fc[j])),
                    alpha=finv.compose(Pp.alpha).compose(f))
     return ConstructionResult(out, certification=check_hom_poisson(out),
@@ -212,9 +212,9 @@ def averaging_twist_power(P, b, k):
     bijective alpha^k-averaging operator beta; same alpha.  beta is a
     morphism from the twist onto the input."""
     b.inverse()  # raises SingularMapError when not bijective
+    claim = OperatorClaim(b, "averaging", power=k)  # checks k before any sweep
     _gate_input(P)
-    _gate(check_operator(P, OperatorClaim(b, "averaging", power=k)),
-          f"map is not an alpha^{k}-averaging operator")
+    _gate(check_operator(P, claim), f"map is not an alpha^{k}-averaging operator")
     bc, ak = b._columns, P.alpha.power(k)._columns
     out = _rebuilt(P, lambda p, i, j: _product(p, bc[i], ak[j]))
     return ConstructionResult(out, certification=check_hom_poisson(out),

@@ -378,17 +378,10 @@ def _leibniz_residual(A, i, j, k):
 def _sweep(label, n, arity, residual):
     """One report for `label` over every basis tuple of the given arity;
     `residual(*indices)` returns the sparse (lhs, rhs) pair that must
-    agree.  report._sweep compares a row's pairs as two tuples; a
-    violating pair is kept from its row, not computed again (a cost
-    failing jobs felt), and expanded into dense tuples."""
-    pairs = []  # the row being compared
-
-    def sides(*row):
-        pairs[:] = [residual(*row, z) for z in range(n)]
-        return zip(*pairs)
-
-    return report._sweep(label, n, arity, sides,
-                         lambda *idx: (idx, *(_dense(v, n) for v in pairs[idx[-1]])))
+    agree.  report._sweep hands a violating pair back, expanded here."""
+    return report._sweep(label, n, arity,
+                         lambda *row: zip(*[residual(*row, z) for z in range(n)]),
+                         lambda values, *idx: (idx, *(_dense(v, n) for v in values)))
 
 
 def _intertwines(label, f, src_alpha, dst_alpha):

@@ -180,8 +180,11 @@ def parse_document(text):
     if not all(isinstance(v, str) for v in metadata.values()):
         raise DocumentError("shape", "metadata must map strings to strings", "metadata")
 
+    name = raw.get("name", "")
+    if not isinstance(name, str):
+        raise DocumentError("shape", "field 'name' must be a string", "name")
     return AlgebraDocument(
-        name=str(raw.get("name", "")),
+        name=name,
         algebra=algebra,
         operators=operators,
         multipliers=multipliers,

@@ -259,7 +259,7 @@ def validate_bicharacter(e):
         return (zeros, [(form & bits).bit_count() & 1 for bits, _ in forms]) if form else (zeros,)
 
     skew = _sweep("bicharacter:skew-symmetry", len(els), 2, parities,
-                  lambda a, b: ((els[a], els[b]), (MINUS_ONE,), (ONE,)))
+                  lambda _, a, b: ((els[a], els[b]), (MINUS_ONE,), (ONE,)))
     return [skew] + [AxiomReport(f"bicharacter:{law}") for law in (
         "additivity-left", "additivity-right", "identity-element", "diagonal-sign")]
 
@@ -286,24 +286,24 @@ def validate_bicharacter_table(t):
     square = [d * d] * n
     skew = _sweep("bicharacter:skew-symmetry", n, 2,
                   lambda a: (square, [x * y for x, y in zip(ints[a], cols[a])]),
-                  lambda a, b: ((els[a], els[b]), (val[a][b] * val[b][a],), (ONE,)))
+                  lambda _, a, b: ((els[a], els[b]), (val[a][b] * val[b][a],), (ONE,)))
     # eps(a, b + c) = eps(a, b) eps(a, c)
     left = _sweep(
         "bicharacter:additivity-left", n, 3,
         lambda a, b: ([d * ints[a][k] for k in sums[b]], [ints[a][b] * x for x in ints[a]]),
-        lambda a, b, c: ((els[a], els[b], els[c]), (val[a][sums[b][c]],),
-                         (val[a][b] * val[a][c],)))
+        lambda _, a, b, c: ((els[a], els[b], els[c]), (val[a][sums[b][c]],),
+                            (val[a][b] * val[a][c],)))
     # eps(a + b, c) = eps(a, c) eps(b, c)
     right = _sweep(
         "bicharacter:additivity-right", n, 3,
         lambda a, b: ([d * x for x in ints[sums[a][b]]], [x * y for x, y in zip(ints[a], ints[b])]),
-        lambda a, b, c: ((els[a], els[b], els[c]), (val[sums[a][b]][c],),
-                         (val[a][c] * val[b][c],)))
+        lambda _, a, b, c: ((els[a], els[b], els[c]), (val[sums[a][b]][c],),
+                            (val[a][c] * val[b][c],)))
     unit = _sweep("bicharacter:identity-element", n, 1, lambda: ([d] * n, cols[0], ints[0]),
-                  lambda a: ((els[a],), (val[a][0],), (val[0][a],)))
+                  lambda _, a: ((els[a],), (val[a][0],), (val[0][a],)))
     diag = _sweep("bicharacter:diagonal-sign", n, 1,
                   lambda: (square, [ints[a][a] ** 2 for a in range(n)]),
-                  lambda a: ((els[a],), (val[a][a],), (ONE,)))
+                  lambda _, a: ((els[a],), (val[a][a],), (ONE,)))
     return [skew, left, right, unit, diag]
 
 
@@ -337,14 +337,14 @@ def validate_multiplier(s, symmetric=False):
     cocycle = _sweep(
         "multiplier:cocycle", n, 3,
         lambda x, y: (after(x, y), [ints[x][y] * c for c in ints[sums[x][y]]]),
-        lambda x, y, z: ((els[x], els[y], els[z]), (val[x][sums[y][z]] * val[y][z],),
-                         (val[x][y] * val[sums[x][y]][z],)))
+        lambda _, x, y, z: ((els[x], els[y], els[z]), (val[x][sums[y][z]] * val[y][z],),
+                            (val[x][y] * val[sums[x][y]][z],)))
     reports = [cocycle]
     if symmetric:
         cols = [list(col) for col in zip(*ints)]
         sym = _sweep(
             "multiplier:symmetry", n, 2, lambda x: (ints[x], cols[x]),
-            lambda x, y: ((els[x], els[y]), (val[x][y],), (val[y][x],)))
+            lambda _, x, y: ((els[x], els[y]), (val[x][y],), (val[y][x],)))
 
         def cyclic(x, y):
             # s(x, y)s(z, x+y), s(y, z)s(x, y+z), s(z, x)s(y, z+x) over z
@@ -354,8 +354,8 @@ def validate_multiplier(s, symmetric=False):
 
         cyc = _sweep(
             "multiplier:cyclic-invariance", n, 3, cyclic,
-            lambda x, y, z: ((els[x], els[y], els[z]), (val[x][y] * val[z][sums[x][y]],),
-                             (val[y][z] * val[x][sums[y][z]], val[z][x] * val[y][sums[z][x]])))
+            lambda _, x, y, z: ((els[x], els[y], els[z]), (val[x][y] * val[z][sums[x][y]],),
+                                (val[y][z] * val[x][sums[y][z]], val[z][x] * val[y][sums[z][x]])))
         reports.extend([sym, cyc])
     return reports
 

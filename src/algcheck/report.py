@@ -59,14 +59,14 @@ def _sweep(label, n, arity, sides, exact):
     range(n), violations in index order, built in one step.  For each row
     (every index but the last) sides(*row) gives sequences over the last
     index that must all equal the first; at each last index z where one
-    does not, exact(*row, z), called before the next row's sides, gives
-    the violation's (indices, lhs, rhs) tuples."""
+    does not, exact(values, *row, z), with `values` the sides' entries at
+    z, gives the violation's (indices, lhs, rhs) tuples."""
     violations = []
     for row in itertools.product(range(n), repeat=arity - 1):
         first, *rest = sides(*row)
         if any(r != first for r in rest):
-            violations.extend(Violation(*exact(*row, z)) for z in range(n)
-                              if any(r[z] != first[z] for r in rest))
+            violations.extend(Violation(*exact((first[z], *(r[z] for r in rest)), *row, z))
+                              for z in range(n) if any(r[z] != first[z] for r in rest))
     return AxiomReport(label, violations)
 
 

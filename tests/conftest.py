@@ -40,6 +40,9 @@ WRONG_TYPED_FIELDS = [
     pytest.param(("group", "moduli"), ["x"], id="moduli-str"),
     pytest.param(("group", "moduli"), [2.5], id="moduli-float"),
     pytest.param(("group", "moduli"), [True], id="moduli-bool"),
+    pytest.param(("name",), None, id="name-null"),
+    pytest.param(("name",), 7, id="name-int"),
+    pytest.param(("name",), ["x"], id="name-list"),
 ]
 
 

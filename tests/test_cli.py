@@ -168,6 +168,18 @@ class TestTwist:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
 
+    @pytest.mark.parametrize("raw, args, message", [
+        ("example3_as_printed", ["averaging-power", "--operator", "Id", "--power", "5"],
+         "error: power must lie in [0, 4], got 5\n"),
+        (dict(NON_BICHARACTER[0].values[0], operators={"zero": [["0"]]}),
+         ["transport", "--operator", "zero"], "error: map is not invertible\n"),
+    ], ids=["averaging-power", "transport"])
+    def test_argument_errors_come_before_the_gates(self, tmp_path, capsys, raw, args, message):
+        # both inputs fail their gate; the bad argument is reported first
+        path = fx(raw) if isinstance(raw, str) else written(tmp_path, raw)
+        assert main(["twist", path, "--construction", *args]) == 2
+        assert capsys.readouterr() == ("", message)
+
     @pytest.mark.parametrize("argv, same_as", [
         (["twist", fx("example3_corrected"), "--construction", "transport", "--operator", "Id"],
          None),
@@ -354,15 +366,26 @@ def test_entry_usage_error_exits_through_argparse(capsys):
     assert (done.returncode, done.stderr) == (2, capsys.readouterr().err.encode("utf-8"))
 
 
+def test_entry_help_matches_main(capsys):
+    argv = ["validate", "--help"]
+    done = run_entry(argv)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: algcheck validate")
+    assert (done.returncode, done.stdout, done.stderr) == (0, captured.out.encode("utf-8"), b"")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_entry_on_a_full_device(unbuffered):
     # buffered, the flush in entry() fails; unbuffered, print() in main() does
-    with open("/dev/full", "wb") as full:
-        done = run_entry(["validate", fx("example3_corrected")], stdout=full,
-                         unbuffered=unbuffered)
-    assert (done.returncode, done.stderr) == (
-        2, b"error: io at <stdout>: [Errno 28] No space left on device\n")
+    for argv in (["validate", fx("example3_corrected")], ["validate", "--help"]):
+        with open("/dev/full", "wb") as full:
+            done = run_entry(argv, stdout=full, unbuffered=unbuffered)
+        assert (done.returncode, done.stderr) == (
+            2, b"error: io at <stdout>: [Errno 28] No space left on device\n"), argv
 
 
 def test_entry_on_a_closed_pipe():
@@ -374,8 +397,10 @@ def test_entry_on_a_closed_pipe():
 
 
 def test_entry_without_stdout_keeps_the_verdict():
-    # with fd 1 closed, sys.stdout is None and print() writes nothing
-    done = subprocess.run([sys.executable, "-c", ENTRY, "report", fx("example3_as_printed")],
-                          stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
-                          env={**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")})
-    assert (done.returncode, done.stderr) == (1, b"")
+    # with fd 1 closed, sys.stdout is None and print() writes nothing, --help
+    # included (argparse alone would write it to stderr)
+    for argv, code in ((["report", fx("example3_as_printed")], 1), (["validate", "--help"], 0)):
+        done = subprocess.run([sys.executable, "-c", ENTRY, *argv],
+                              stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
+                              env={**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")})
+        assert (done.returncode, done.stderr) == (code, b""), argv

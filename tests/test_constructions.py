@@ -147,6 +147,11 @@ class TestTransport:
         with pytest.raises(ShapeError, match="map basis differs from algebra basis"):
             transport_along_bijection(example3, f)
 
+    def test_singular_map_rejected_before_the_gate(self):
+        P = parse_document(json.dumps(NON_BICHARACTER[0].values[0])).algebra
+        with pytest.raises(SingularMapError):
+            transport_along_bijection(P, EvenLinearMap.diagonal(P.basis, (0,)))
+
 
 class TestCentroidTwist:
     def test_identity_is_neutral(self, example3):
@@ -237,6 +242,11 @@ class TestAveragingPower:
         A = group_algebra_z2.algebra
         with pytest.raises(InvalidRepresentationError, match="operator powers must be integers"):
             averaging_twist_power(A, EvenLinearMap.identity(A.basis), k)
+
+    def test_power_out_of_range_rejected_before_the_gate(self):
+        A = three_dim(corrected=False)  # fails the Hom-Poisson gate
+        with pytest.raises(InvalidRepresentationError, match=r"power must lie in \[0, 4\]"):
+            averaging_twist_power(A, EvenLinearMap.identity(A.basis), 5)
 
 
 class TestNijenhuisTwist:

@@ -28,7 +28,7 @@ def test_sweep_reports_every_disagreeing_tuple_in_index_order(arity):
 
     called = []
 
-    def exact(*idx):
+    def exact(values, *idx):
         called.append(idx)
         return idx, (sum(idx),), (len(idx),)
 
@@ -48,7 +48,7 @@ def test_sweep_compares_nothing_for_a_single_side(arity):
         rows.append(row)
         return (list(range(N)),)
 
-    def exact(*idx):
+    def exact(values, *idx):
         raise AssertionError(f"exact called at {idx}")
 
     assert _sweep("law", N, arity, sides, exact) == AxiomReport("law")
@@ -60,8 +60,30 @@ def test_sweep_compares_the_sides_element_by_element():
     def sides(a):
         return range(a, a + N), list(range(a, a + N))
 
-    rep = _sweep("law", N, 2, sides, lambda a, b: pytest.fail("no violation to expand"))
+    rep = _sweep("law", N, 2, sides, lambda values, a, b: pytest.fail("no violation to expand"))
     assert rep == AxiomReport("law") and rep.ok
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_sweep_hands_exact_the_sides_entries_at_the_violation(arity):
+    # each side's entry encodes its side, row and last index, so a value
+    # from another side, row or index would show
+    def entry(side, idx):
+        return side * 1000 + sum(i * 10 ** k for k, i in enumerate(idx)) if side else 0
+
+    def sides(*row):
+        return tuple([entry(s, row + (z,)) for z in range(N)] for s in range(3))
+
+    got = []
+
+    def exact(values, *idx):
+        got.append((idx, values))
+        return idx, values[:1], values[1:]
+
+    rep = _sweep("law", N, arity, sides, exact)
+    cube = list(itertools.product(range(N), repeat=arity))
+    assert got == [(idx, tuple(entry(s, idx) for s in range(3))) for idx in cube]
+    assert [v.rhs for v in rep.violations] == [values[1:] for _, values in got]
 
 
 def test_reports_are_built_in_one_step():
