@@ -225,9 +225,10 @@ def nijenhuis_twist(P, N):
     """Deformed products x .N y = N(x).y + x.N(y) - N(x.y), and the same
     shape for the bracket; same alpha and commutation factor.  N is a
     morphism from the twist onto the input."""
+    claim = OperatorClaim(N, "nijenhuis")
     _gate_input(P)
-    _gate(check_operator(P, OperatorClaim(N, "nijenhuis")), "map is not a Nijenhuis operator")
-    out = _rebuilt(P, lambda p, i, j: _deformed(p, N, i, j, (-ONE, _mapped(N, _pair(p, i, j)))))
+    _gate(check_operator(P, claim), "map is not a Nijenhuis operator")
+    out = _rebuilt(P, lambda p, i, j: _deformed(p, claim, i, j))
     return ConstructionResult(out, certification=check_hom_poisson(out),
                               morphism=check_morphism(N, out, P))
 
@@ -236,11 +237,10 @@ def rota_baxter_twist(P, R, weight):
     """x * y = R(x).y + x.R(y) + weight * x.y, likewise for the bracket,
     for a Rota-Baxter operator R of that weight; same alpha.  R is a
     morphism from the twist onto the input."""
-    weight = _rational(weight, "weight")
+    claim = OperatorClaim(R, "rota-baxter", weight=weight)  # checks the weight before any sweep
     _gate_input(P)
-    _gate(check_operator(P, OperatorClaim(R, "rota-baxter", weight=weight)),
-          "map is not a Rota-Baxter operator of this weight")
-    out = _rebuilt(P, lambda p, i, j: _deformed(p, R, i, j, (weight, _pair(p, i, j))))
+    _gate(check_operator(P, claim), "map is not a Rota-Baxter operator of this weight")
+    out = _rebuilt(P, lambda p, i, j: _deformed(p, claim, i, j))
     return ConstructionResult(out, certification=check_hom_poisson(out),
                               morphism=check_morphism(R, out, P))
 

@@ -136,11 +136,7 @@ class EvenLinearMap:
 
     @property
     def is_identity(self):
-        return all(
-            c == (ONE if i == j else ZERO)
-            for i, row in enumerate(self.matrix)
-            for j, c in enumerate(row)
-        )
+        return self == EvenLinearMap.identity(self.basis)
 
     def inverse(self):
         """Exact Gauss-Jordan inverse; raises SingularMapError if singular."""

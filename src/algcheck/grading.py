@@ -15,7 +15,11 @@ factor one value table indexed the same way (`_table`), which its
 once.  Each law is one `report._sweep` call of arity 1 to 3, except
 the sign laws that hold in closed form, with lists over the last index
 as its sides; index order is lexicographic element order, and a
-violation carries element tuples and the table's own Fraction values.
+violation carries element tuples and Fraction values.  A law that
+compares a table's values or their products as cleared ints records the
+ints it compared over D or D^2 (`_recorded`), which are those values and
+products; the identity-element and diagonal-sign laws record table
+entries, and the sign skew-symmetry law -1 against 1.
 A sign matrix is well defined on the group by construction, so a sign
 bicharacter sweeps only its skew-symmetry pairs (see
 `validate_bicharacter`); multiplier and table laws compare integers (see
@@ -100,8 +104,10 @@ class GroupSpec:
         return tuple(c % m for c, m in zip(_integers(coords, "group coordinates"), self.moduli))
 
     def is_canonical(self, coords):
+        """coords has one int (not a bool) per factor, in [0, m_i)."""
         return len(coords) == self.rank and all(
-            0 <= c < m for c, m in zip(coords, self.moduli)
+            isinstance(c, int) and not isinstance(c, bool) and 0 <= c < m
+            for c, m in zip(coords, self.moduli)
         )
 
     def add(self, a, b):
@@ -270,6 +276,16 @@ def _cleared(table):
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in table]
 
 
+def _recorded(els, scale):
+    """The `exact` of a law swept on cleared ints: the element tuples, the
+    first compared value over `scale` as lhs and the others over `scale`
+    as rhs, each a Fraction."""
+    def exact(values, *indices):
+        first, *rest = (Fraction(v, scale) for v in values)
+        return tuple(els[i] for i in indices), (first,), tuple(rest)
+    return exact
+
+
 def validate_bicharacter_table(t):
     """The same exhaustive bicharacter laws for a rational-valued table
     (used to certify the delta of a multiplier, and products of factors).
@@ -277,7 +293,10 @@ def validate_bicharacter_table(t):
     With D the lcm of its denominators and T = D*t, the laws are swept on
     the ints of T: T(a, b) T(b, a) = D^2, T(a, 0) = D = T(0, a), T(a, a)^2
     = D^2, and D*T(a, b+c) = T(a, b) T(a, c), likewise on the right.  A
-    violation is recorded with the table's own Fraction values."""
+    skew-symmetry or additivity violation carries the compared ints over
+    D^2, which are the table's own values and their products; an
+    identity-element violation carries the two table entries, and a
+    diagonal-sign violation the entry itself."""
     g = t.group
     els, sums, val = g._els, g._sums, t._table
     n = g.order
@@ -285,20 +304,18 @@ def validate_bicharacter_table(t):
     cols = [list(col) for col in zip(*ints)]
     square = [d * d] * n
     skew = _sweep("bicharacter:skew-symmetry", n, 2,
-                  lambda a: (square, [x * y for x, y in zip(ints[a], cols[a])]),
-                  lambda _, a, b: ((els[a], els[b]), (val[a][b] * val[b][a],), (ONE,)))
+                  lambda a: ([x * y for x, y in zip(ints[a], cols[a])], square),
+                  _recorded(els, d * d))
     # eps(a, b + c) = eps(a, b) eps(a, c)
     left = _sweep(
         "bicharacter:additivity-left", n, 3,
         lambda a, b: ([d * ints[a][k] for k in sums[b]], [ints[a][b] * x for x in ints[a]]),
-        lambda _, a, b, c: ((els[a], els[b], els[c]), (val[a][sums[b][c]],),
-                            (val[a][b] * val[a][c],)))
+        _recorded(els, d * d))
     # eps(a + b, c) = eps(a, c) eps(b, c)
     right = _sweep(
         "bicharacter:additivity-right", n, 3,
         lambda a, b: ([d * x for x in ints[sums[a][b]]], [x * y for x, y in zip(ints[a], ints[b])]),
-        lambda _, a, b, c: ((els[a], els[b], els[c]), (val[sums[a][b]][c],),
-                            (val[a][c] * val[b][c],)))
+        _recorded(els, d * d))
     unit = _sweep("bicharacter:identity-element", n, 1, lambda: ([d] * n, cols[0], ints[0]),
                   lambda _, a: ((els[a],), (val[a][0],), (val[0][a],)))
     diag = _sweep("bicharacter:diagonal-sign", n, 1,
@@ -322,12 +339,13 @@ def validate_multiplier(s, symmetric=False):
     The three laws are homogeneous in s, of degrees 2, 1 and 2, so they
     hold for s exactly when they hold for D*s, where D is the lcm of the
     denominators of s: the sweeps compare the Python ints of D*s over the
-    index tables.  A violation is recorded with the element tuples and
-    the products of the original Fraction values."""
+    index tables.  A violation carries the element tuples and the
+    compared ints over D^2, D and D^2, which are the products of the
+    original Fraction values."""
     g = s.group
-    els, sums, val = g._els, g._sums, s._table
+    els, sums = g._els, g._sums
     n = g.order
-    _, ints = _cleared(val)
+    d, ints = _cleared(s._table)
 
     def after(x, y):
         # s(x, y + z) s(y, z) over z
@@ -337,14 +355,11 @@ def validate_multiplier(s, symmetric=False):
     cocycle = _sweep(
         "multiplier:cocycle", n, 3,
         lambda x, y: (after(x, y), [ints[x][y] * c for c in ints[sums[x][y]]]),
-        lambda _, x, y, z: ((els[x], els[y], els[z]), (val[x][sums[y][z]] * val[y][z],),
-                            (val[x][y] * val[sums[x][y]][z],)))
+        _recorded(els, d * d))
     reports = [cocycle]
     if symmetric:
         cols = [list(col) for col in zip(*ints)]
-        sym = _sweep(
-            "multiplier:symmetry", n, 2, lambda x: (ints[x], cols[x]),
-            lambda _, x, y: ((els[x], els[y]), (val[x][y],), (val[y][x],)))
+        sym = _sweep("multiplier:symmetry", n, 2, lambda x: (ints[x], cols[x]), _recorded(els, d))
 
         def cyclic(x, y):
             # s(x, y)s(z, x+y), s(y, z)s(x, y+z), s(z, x)s(y, z+x) over z
@@ -352,10 +367,7 @@ def validate_multiplier(s, symmetric=False):
             return ([ints[x][y] * c for c in cols[sums[x][y]]], after(x, y),
                     [c * row[k] for c, k in zip(cols[x], sums[x])])
 
-        cyc = _sweep(
-            "multiplier:cyclic-invariance", n, 3, cyclic,
-            lambda _, x, y, z: ((els[x], els[y], els[z]), (val[x][y] * val[z][sums[x][y]],),
-                                (val[y][z] * val[x][sums[y][z]], val[z][x] * val[y][sums[z][x]])))
+        cyc = _sweep("multiplier:cyclic-invariance", n, 3, cyclic, _recorded(els, d * d))
         reports.extend([sym, cyc])
     return reports
 

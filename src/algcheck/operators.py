@@ -44,10 +44,10 @@ class OperatorClaim:
         if self.kind not in KINDS:
             raise InvalidRepresentationError(f"unknown operator kind {self.kind!r}")
         _integers((self.power,), "operator powers")
-        if self.kind == "rota-baxter":
-            if self.weight is None:
-                raise InvalidRepresentationError("rota-baxter claims need a weight")
+        if self.weight is not None:
             object.__setattr__(self, "weight", _rational(self.weight, "weight"))
+        elif self.kind == "rota-baxter":
+            raise InvalidRepresentationError("rota-baxter claims need a weight")
         if self.kind in ("centroid", "averaging"):
             if not (0 <= self.power <= MAX_POWER):
                 raise InvalidRepresentationError(
@@ -55,11 +55,17 @@ class OperatorClaim:
                 )
 
 
-def _deformed(p, b, i, j, last):
-    """p(b e_i, e_j) + p(e_i, b e_j) + c v, for last = (c, v)."""
-    bc = b._columns
-    return _combined((ONE, _product(p, bc[i], {j: ONE})),
-                     (ONE, _product(p, {i: ONE}, bc[j])), last)
+def _deformed(p, claim, i, j):
+    """The twisted product of e_i and e_j for a Rota-Baxter or Nijenhuis
+    claim with map b: p(b e_i, e_j) + p(e_i, b e_j) plus the last term,
+    weight * p(e_i, e_j) for a Rota-Baxter claim and -b(p(e_i, e_j)) for a
+    Nijenhuis claim.  The operator law compares p(b e_i, b e_j) with its
+    image under b, and the two twists tabulate it, so the gate, the twist
+    and the morphism check all read this one statement."""
+    b, pij = claim.map, _pair(p, i, j)
+    last = (claim.weight, pij) if claim.kind == "rota-baxter" else (-ONE, _mapped(b, pij))
+    return _combined((ONE, _product(p, b._columns[i], {j: ONE})),
+                     (ONE, _product(p, {i: ONE}, b._columns[j])), last)
 
 
 def _laws(claim, p, ak, name):
@@ -78,12 +84,8 @@ def _laws(claim, p, ak, name):
             lambda i, j: (_product(p, bc[i], bc[j]), _mapped(b, _product(p, ak[i], bc[j]))),
         )
     else:
-        # Rota-Baxter and Nijenhuis differ only in the last term:
-        # weight * p(e_i, e_j) versus -b(p(e_i, e_j))
-        def last(pij):
-            return (claim.weight, pij) if kind == "rota-baxter" else (-ONE, _mapped(b, pij))
-        return [(label, lambda i, j: (
-            _product(p, bc[i], bc[j]), _mapped(b, _deformed(p, b, i, j, last(_pair(p, i, j))))))]
+        return [(label, lambda i, j: (_product(p, bc[i], bc[j]),
+                                      _mapped(b, _deformed(p, claim, i, j))))]
     # the right-hand law is checked for mu only
     return [(f"{label}:left", left)] + ([(f"{label}:right", right)] if name == "mu" else [])
 

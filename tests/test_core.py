@@ -217,6 +217,13 @@ def _morphism(src, dst, basis=None):
 # (call, error type, message fragment)
 SHAPE_ERRORS = {
     "basis-degree": (lambda A: GradedBasis(A.group, ((2,),)), ShapeError, "not canonical"),
+    # a degree coordinate must be an int, and not a bool
+    "basis-degree-half": (lambda A: GradedBasis(A.group, ((0.5,), (0,))), ShapeError,
+                          "not canonical"),
+    "basis-degree-float": (lambda A: GradedBasis(A.group, ((1.0,), (0,))), ShapeError,
+                           "not canonical"),
+    "basis-degree-bool": (lambda A: GradedBasis(A.group, ((True,), (0,))), ShapeError,
+                          "not canonical"),
     "map-diagonal": (lambda A: EvenLinearMap.diagonal(A.basis, (1, 1)), ShapeError,
                      "diagonal length mismatch"),
     "map-apply": (lambda A: A.alpha.apply((1, 1)), ShapeError, "vector length mismatch"),

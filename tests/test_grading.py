@@ -19,7 +19,7 @@ from algcheck import (
     validate_multiplier,
 )
 
-from conftest import load_fixture, ref_bicharacter
+from conftest import load_fixture, ref_bicharacter, ref_multiplier
 
 Z2SQ = GroupSpec((2, 2))
 Z4 = GroupSpec((4,))
@@ -189,6 +189,17 @@ class TestMultiplier:
         bad = reports["multiplier:symmetry"]
         assert not bad.ok
         assert ((1, 0), (0, 1)) in [v.indices for v in bad.violations]
+
+    def test_violations_carry_the_table_values(self):
+        # the sweeps compare cleared ints and record them over D or D^2: on a
+        # table with denominators that fails every law, each violation must
+        # carry the table's own values and their products
+        g = GroupSpec((2, 3))
+        s = MultiplierTable.from_function(g, lambda x, y: F(1 + x[1] + 2 * y[0], 2 + x[0] * y[1]))
+        got = validate_multiplier(s, symmetric=True) + validate_bicharacter_table(s)
+        assert all(not r.ok for r in got)
+        assert [(r.axiom, [(v.indices, v.lhs, v.rhs) for v in r.violations]) for r in got] == (
+            ref_multiplier(s, symmetric=True) + ref_bicharacter(s))
 
     def test_constant_table(self):
         for c in (F(1), F(3, 7)):

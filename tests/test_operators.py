@@ -31,6 +31,18 @@ class TestClaimValidation:
         with pytest.raises(InvalidRepresentationError):
             OperatorClaim(EvenLinearMap.identity(rb2dim.basis), "rota-baxter")
 
+    @pytest.mark.parametrize("kind", ["nijenhuis", "centroid", "averaging"])
+    @pytest.mark.parametrize("weight", [0.1, 1.0, True, "1/3"])
+    def test_inexact_weight_refused(self, rb2dim, kind, weight):
+        with pytest.raises(InvalidRepresentationError):
+            OperatorClaim(EvenLinearMap.identity(rb2dim.basis), kind, weight=weight)
+
+    @pytest.mark.parametrize("kind", ["nijenhuis", "centroid", "averaging"])
+    @pytest.mark.parametrize("weight", [None, 2, F(1, 2)], ids=["None", "int", "Fraction"])
+    def test_weight_accepted(self, rb2dim, kind, weight):
+        claim = OperatorClaim(EvenLinearMap.identity(rb2dim.basis), kind, weight=weight)
+        assert claim.weight == weight and (weight is None or type(claim.weight) is F)
+
     def test_power_bounds(self, rb2dim):
         m = EvenLinearMap.identity(rb2dim.basis)
         with pytest.raises(InvalidRepresentationError):
