@@ -51,7 +51,7 @@ def three_dim(a, corrected):
     mu = BilinearProduct(basis, tuple(entries))
     bracket = BilinearProduct(basis, ((1, 2, 2, F(1)), (2, 1, 2, F(-1))))
     alpha = EvenLinearMap.diagonal(basis, (1, 1, a))
-    return GradedAlgebra(g, SignBicharacter(g, ((1,),)), basis, mu, bracket, alpha)
+    return GradedAlgebra(SignBicharacter(g, ((1,),)), basis, mu, bracket, alpha)
 
 
 def main():
@@ -86,7 +86,7 @@ def main():
         (0, 0, 0, F(-1)), (0, 1, 1, F(1)), (1, 0, 1, F(1)), (1, 1, 0, F(1)),
     ))
     alpha = EvenLinearMap.diagonal(basis, (1, -1))
-    A2 = GradedAlgebra(g, SignBicharacter(g, ((1,),)), basis, mu, None, alpha)
+    A2 = GradedAlgebra(SignBicharacter(g, ((1,),)), basis, mu, None, alpha)
     ops2 = {
         "Id": EvenLinearMap.identity(basis),
         "R": EvenLinearMap.scalar(basis, F(-1, 2)),
@@ -111,7 +111,7 @@ def main():
         (i, j, idx[g.add(x, y)], F(1))
         for i, x in enumerate(els) for j, y in enumerate(els)
     ))
-    GA = GradedAlgebra(g, SignBicharacter(g, ((0, 0), (0, 0))), basis, mu,
+    GA = GradedAlgebra(SignBicharacter(g, ((0, 0), (0, 0))), basis, mu,
                        BilinearProduct.zero(basis), EvenLinearMap.identity(basis))
     write("group_algebra_z2sq", AlgebraDocument(
         name="group-algebra-z2xz2",
@@ -131,7 +131,7 @@ def main():
     mu = BilinearProduct(basis, (
         (0, 0, 0, F(1)), (0, 1, 1, F(1)), (1, 0, 1, F(1)), (1, 1, 0, F(1)),
     ))
-    KZ2 = GradedAlgebra(g, SignBicharacter(g, ((0,),)), basis, mu,
+    KZ2 = GradedAlgebra(SignBicharacter(g, ((0,),)), basis, mu,
                         BilinearProduct.zero(basis), EvenLinearMap.identity(basis))
     write("group_algebra_z2", AlgebraDocument(
         name="group-algebra-z2",
@@ -147,7 +147,7 @@ def main():
     prod = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (0, 3): 3,
             (1, 0): 1, (2, 0): 2, (3, 0): 3, (1, 2): 3, (2, 1): 3}
     mu = BilinearProduct(basis, tuple((i, j, k, F(1)) for (i, j), k in prod.items()))
-    D4 = GradedAlgebra(g, SignBicharacter(g, ((0,),)), basis, mu,
+    D4 = GradedAlgebra(SignBicharacter(g, ((0,),)), basis, mu,
                        BilinearProduct.zero(basis), EvenLinearMap.identity(basis))
     d = EvenLinearMap(basis, ((0, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0)))
     write("diff4", AlgebraDocument(
@@ -162,20 +162,20 @@ def main():
     b1 = GradedBasis(g, ((0,),))
     write("unital_line", AlgebraDocument(
         name="unital-line",
-        algebra=GradedAlgebra(g, eps, b1, BilinearProduct(b1, ((0, 0, 0, F(1)),)),
+        algebra=GradedAlgebra(eps, b1, BilinearProduct(b1, ((0, 0, 0, F(1)),)),
                               None, EvenLinearMap.identity(b1)),
         operators={"Id": EvenLinearMap.identity(b1)},
     ))
     b2 = GradedBasis(g, ((0,), (0,)))
     write("comm2", AlgebraDocument(
         name="commutative-2dim",
-        algebra=GradedAlgebra(g, eps, b2, BilinearProduct(b2, (
+        algebra=GradedAlgebra(eps, b2, BilinearProduct(b2, (
             (0, 0, 0, F(1)), (0, 1, 1, F(1)), (1, 0, 1, F(1)),
         )), None, EvenLinearMap.identity(b2)),
     ))
     write("ksqrt2", AlgebraDocument(
         name="quadratic-extension-stand-in",
-        algebra=GradedAlgebra(g, eps, b2, BilinearProduct(b2, (
+        algebra=GradedAlgebra(eps, b2, BilinearProduct(b2, (
             (0, 0, 0, F(1)), (0, 1, 1, F(1)), (1, 0, 1, F(1)), (1, 1, 0, F(2)),
         )), None, EvenLinearMap.identity(b2)),
     ))

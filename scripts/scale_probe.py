@@ -124,7 +124,7 @@ def group_algebra_commutator(dim):
     basis = GradedBasis(g, els)
     mu = BilinearProduct(basis, tuple((i, j, index[g.add(x, y)], 1)
                                       for i, x in enumerate(els) for j, y in enumerate(els)))
-    return commutator_bracket(GradedAlgebra(g, e, basis, mu, None, EvenLinearMap.identity(basis)))
+    return commutator_bracket(GradedAlgebra(e, basis, mu, None, EvenLinearMap.identity(basis)))
 
 
 def dimension_seconds(dim):
@@ -153,7 +153,7 @@ def grassmann(rank):
          (-1) ** sum(x[a] * y[b] for a in range(rank) for b in range(a)))
         for i, x in enumerate(els) for j, y in enumerate(els)
         if not any(a and b for a, b in zip(x, y))))
-    return GradedAlgebra(g, eps, basis, mu, None, EvenLinearMap.identity(basis))
+    return GradedAlgebra(eps, basis, mu, None, EvenLinearMap.identity(basis))
 
 
 def grassmann_seconds(rank):
@@ -168,7 +168,7 @@ def line_document(rank):
     g = GroupSpec((2,) * rank)
     basis = GradedBasis(g, (g.zero,))
     eps = SignBicharacter(g, tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
-    alg = GradedAlgebra(g, eps, basis, BilinearProduct(basis, ((0, 0, 0, 1),)), None,
+    alg = GradedAlgebra(eps, basis, BilinearProduct(basis, ((0, 0, 0, 1),)), None,
                         EvenLinearMap.identity(basis))
     return serialize_document(AlgebraDocument(name=f"line-z2^{rank}", algebra=alg))
 

@@ -67,10 +67,9 @@ def cmd_validate(args):
 
 def cmd_check_operator(args):
     doc = _load(args.path)
-    if args.name not in doc.operators:
-        raise DocumentError("unknown-operator", f"no operator named {args.name!r}", args.path)
+    operator = _named(doc.operators, "operator", args.name, args.path)
     weight = parse_rational(args.weight, "--weight") if args.weight is not None else None
-    claim = OperatorClaim(doc.operators[args.name], args.kind, power=args.power, weight=weight)
+    claim = OperatorClaim(operator, args.kind, power=args.power, weight=weight)
     reports = check_operator(doc.algebra, claim, products=args.product)
     return _emit(args.json, reports=reports)
 
@@ -81,22 +80,25 @@ def _summary(reports):
     )
 
 
+def _named(entries, kind, name, location=None):
+    """entries[name], the document's `kind` (operator or multiplier) of that
+    name: a usage error when no name was given, unknown-`kind` when the
+    document has no such entry."""
+    if name is None:
+        raise DocumentError("usage", f"this construction needs --{kind}")
+    if name not in entries:
+        raise DocumentError(f"unknown-{kind}", f"no {kind} named {name!r}", location)
+    return entries[name]
+
+
 def _operator(doc, args):
-    if args.operator is None:
-        raise DocumentError("usage", "this construction needs --operator")
     if args.operator == "Id":
         return EvenLinearMap.identity(doc.algebra.basis)
-    if args.operator not in doc.operators:
-        raise DocumentError("unknown-operator", f"no operator named {args.operator!r}")
-    return doc.operators[args.operator]
+    return _named(doc.operators, "operator", args.operator)
 
 
 def _multiplier(doc, args):
-    if args.multiplier is None:
-        raise DocumentError("usage", "this construction needs --multiplier")
-    if args.multiplier not in doc.multipliers:
-        raise DocumentError("unknown-multiplier", f"no multiplier named {args.multiplier!r}")
-    return doc.multipliers[args.multiplier]
+    return _named(doc.multipliers, "multiplier", args.multiplier)
 
 
 def _endomorphisms(doc, args):

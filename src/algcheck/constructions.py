@@ -64,10 +64,6 @@ class ConstructionResult:
     def ok(self):
         return all_ok(self.certification) and all_ok(self.morphism)
 
-    @property
-    def reports(self):
-        return list(self.certification) + list(self.morphism) + list(self.findings)
-
 
 def _rebuilt(P, product, names=("mu", "bracket"), **replace):
     """P with each named product p it carries replaced by the tabulation
@@ -197,7 +193,7 @@ def averaging_twist_untwisted(P, b):
     beta^2(x).(beta(y).z) = (beta(x).beta(y)).beta(z), which averaging does
     not grant (the projection on K[Z2] fails it), so the re-certification
     verdict is the evidence rather than an assumed property."""
-    if not P.alpha.is_identity:
+    if P.alpha != EvenLinearMap.identity(P.basis):
         raise HypothesisError("this construction starts from an untwisted algebra (alpha = id)", [])
     _gate_factor(P)
     _gate(check_hom_poisson(P), "input is not a Poisson color algebra")

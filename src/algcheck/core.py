@@ -134,10 +134,6 @@ class EvenLinearMap:
             out = out.compose(self)
         return out
 
-    @property
-    def is_identity(self):
-        return self == EvenLinearMap.identity(self.basis)
-
     def inverse(self):
         """Exact Gauss-Jordan inverse; raises SingularMapError if singular."""
         n = self.basis.dim
@@ -232,9 +228,8 @@ class BilinearProduct:
 class GradedAlgebra:
     """A graded basis with up to two structure-constant products, an even
     twisting map alpha and a commutation factor epsilon (sign bicharacter
-    or rational table)."""
+    or rational table), all over the basis's grading group."""
 
-    group: object
     epsilon: object
     basis: GradedBasis
     mu: object
@@ -246,9 +241,7 @@ class GradedAlgebra:
             raise MissingComponentError("algebra must carry at least one product")
         if self.alpha is None:
             raise MissingComponentError("algebra has no alpha")
-        if self.basis.group != self.group:
-            raise ShapeError("basis group differs from algebra group")
-        if self.epsilon.group != self.group:
+        if self.epsilon.group != self.basis.group:
             raise ShapeError("commutation factor group differs from algebra group")
         for p in (self.mu, self.bracket):
             if p is not None and p.basis != self.basis:
@@ -257,19 +250,19 @@ class GradedAlgebra:
             raise ShapeError("alpha basis differs from algebra basis")
 
     @property
+    def group(self):
+        return self.basis.group
+
+    @property
     def dim(self):
         return self.basis.dim
 
     @cached_property
-    def _eps(self):
+    def eps(self):
         """Row i, column j is the commutation factor between the degrees
         of basis indices i and j."""
         degs, value = self.basis.degrees, self.epsilon.value
         return tuple(tuple(value(a, b) for b in degs) for a in degs)
-
-    def eps(self, i, j):
-        """Commutation factor between the degrees of basis indices i, j."""
-        return self._eps[i][j]
 
     def replace(self, **kw):
         return replace(self, **kw)
@@ -349,7 +342,7 @@ def _assoc_residual(A, i, j, k):
 
 
 def _jacobi_residual(A, i, j, k):
-    a, eps, br = A.alpha._columns, A._eps, A.bracket
+    a, eps, br = A.alpha._columns, A.eps, A.bracket
     lhs = _combined(
         (eps[k][i], _product(br, a[i], _pair(br, j, k))),
         (eps[i][j], _product(br, a[j], _pair(br, k, i))),
@@ -359,7 +352,7 @@ def _jacobi_residual(A, i, j, k):
 
 
 def _leibniz_residual(A, i, j, k):
-    a, eps, mu, br = A.alpha._columns, A._eps, A.mu, A.bracket
+    a, eps, mu, br = A.alpha._columns, A.eps, A.mu, A.bracket
     lhs = _product(br, a[i], _pair(mu, j, k))
     rhs = _combined(
         (ONE, _product(mu, _pair(br, i, j), a[k])),
@@ -395,14 +388,14 @@ def check_epsilon_commutative(A):
     _require(A, "mu")
     mu = A.mu
     return _sweep("epsilon-commutativity", A.dim, 2,
-                  lambda i, j: (_pair(mu, i, j), _combined((A.eps(i, j), _pair(mu, j, i)))))
+                  lambda i, j: (_pair(mu, i, j), _combined((A.eps[i][j], _pair(mu, j, i)))))
 
 
 def check_hom_lie(A):
     _require(A, "bracket")
     br = A.bracket
     skew = _sweep("epsilon-skew-symmetry", A.dim, 2,
-                  lambda i, j: (_pair(br, i, j), _combined((-A.eps(i, j), _pair(br, j, i)))))
+                  lambda i, j: (_pair(br, i, j), _combined((-A.eps[i][j], _pair(br, j, i)))))
     return [skew, _sweep("hom-jacobi", A.dim, 3, partial(_jacobi_residual, A))]
 
 
@@ -439,7 +432,7 @@ def commutator_bracket(A):
     _gate([check_hom_associative(A)], "commutator bracket requires a Hom-associative product")
     mu = A.mu
     return A.replace(bracket=_tabulated(A.basis, lambda i, j: _combined(
-        (ONE, _pair(mu, i, j)), (-A.eps(i, j), _pair(mu, j, i)))))
+        (ONE, _pair(mu, i, j)), (-A.eps[i][j], _pair(mu, j, i)))))
 
 
 def check_morphism(f, src, dst):
@@ -448,8 +441,6 @@ def check_morphism(f, src, dst):
     one basis: f's matrix is read on it."""
     if f.basis.dim != src.basis.dim or src.basis.dim != dst.basis.dim:
         raise ShapeError("morphism check needs equal dimensions")
-    if src.group != dst.group:
-        raise ShapeError("morphism check needs a common grading group")
     if not f.basis == src.basis == dst.basis:
         raise ShapeError("morphism check needs a common basis")
     reports = [_intertwines("morphism:alpha", f, src.alpha, dst.alpha)]

@@ -163,9 +163,7 @@ def parse_document(text):
     alpha = _matrix(basis, _need(raw, "alpha", list, "alpha"), "alpha")
 
     try:
-        algebra = GradedAlgebra(
-            group=group, epsilon=epsilon, basis=basis, mu=mu, bracket=bracket, alpha=alpha
-        )
+        algebra = GradedAlgebra(epsilon, basis, mu, bracket, alpha)
     except AlgcheckError as exc:
         raise DocumentError("shape", str(exc)) from exc
 

@@ -96,7 +96,7 @@ def three_dim(a=F(2), exponent=1, corrected=True):
     mu = BilinearProduct(basis, tuple(entries))
     bracket = BilinearProduct(basis, ((1, 2, 2, F(1)), (2, 1, 2, F(-1))))
     alpha = EvenLinearMap.diagonal(basis, (1, 1, a))
-    return GradedAlgebra(g, SignBicharacter(g, ((exponent,),)), basis, mu, bracket, alpha)
+    return GradedAlgebra(SignBicharacter(g, ((exponent,),)), basis, mu, bracket, alpha)
 
 
 @pytest.fixture

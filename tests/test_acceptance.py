@@ -180,7 +180,7 @@ def test_criterion_4_construction_recertification():
         failures.append(f"{label}: output re-certified")
     if res.algebra.mu.entries != ((0, 0, 0, 1), (0, 1, 1, 1)) or res.algebra.alpha != proj:
         failures.append(f"{label}: unexpected output algebra")
-    bad = [r for r in res.reports if not r.ok]
+    bad = [r for r in res.certification + res.morphism + res.findings if not r.ok]
     if [r.axiom for r in bad] != ["hom-associativity"]:
         failures.append(f"{label}: failing reports {[r.axiom for r in bad]}")
     elif [(v.indices, v.lhs, v.rhs) for v in bad[0].violations] != [((0, 0, 1), (0, 1), (0, 0))]:

@@ -168,6 +168,24 @@ class TestTwist:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
 
+    @pytest.mark.parametrize("argv, err", [
+        (["twist", fx("rb2dim_poisson"), "--construction", "nijenhuis"],
+         "error: usage: this construction needs --operator\n"),
+        (["twist", fx("rb2dim_poisson"), "--construction", "nijenhuis", "--operator", "nope"],
+         "error: unknown-operator: no operator named 'nope'\n"),
+        (["twist", fx("group_algebra_z2sq"), "--construction", "multiplier-sym"],
+         "error: usage: this construction needs --multiplier\n"),
+        (["twist", fx("group_algebra_z2sq"), "--construction", "multiplier-sym",
+          "--multiplier", "nope"],
+         "error: unknown-multiplier: no multiplier named 'nope'\n"),
+        (["check-operator", fx("rb2dim"), "--name", "nope", "--kind", "centroid"],
+         f"error: unknown-operator at {fx('rb2dim')}: no operator named 'nope'\n"),
+    ], ids=["missing-operator", "unknown-operator", "missing-multiplier", "unknown-multiplier",
+            "check-operator-unknown-name"])
+    def test_named_entry_errors(self, capsys, argv, err):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", err)
+
     @pytest.mark.parametrize("raw, args, message", [
         ("example3_as_printed", ["averaging-power", "--operator", "Id", "--power", "5"],
          "error: power must lie in [0, 4], got 5\n"),

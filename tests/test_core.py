@@ -77,7 +77,7 @@ class TestEpsilonCommutative:
     def test_one_dim_idempotent(self):
         g = GroupSpec((2,))
         b = GradedBasis(g, ((0,),))
-        A = GradedAlgebra(g, SignBicharacter(g, ((0,),)), b,
+        A = GradedAlgebra(SignBicharacter(g, ((0,),)), b,
                           BilinearProduct(b, ((0, 0, 0, F(1)),)), None,
                           EvenLinearMap.identity(b))
         assert check_epsilon_commutative(A).ok
@@ -144,7 +144,7 @@ class TestCommutatorBracket:
     def test_one_dim(self):
         g = GroupSpec((2,))
         b = GradedBasis(g, ((0,),))
-        A = GradedAlgebra(g, SignBicharacter(g, ((0,),)), b,
+        A = GradedAlgebra(SignBicharacter(g, ((0,),)), b,
                           BilinearProduct(b, ((0, 0, 0, F(1)),)), None,
                           EvenLinearMap.identity(b))
         assert commutator_bracket(A).bracket.entries == ()
@@ -231,7 +231,7 @@ SHAPE_ERRORS = {
     "map-compose-basis": (lambda A: A.alpha.compose(SWAP_ON_OTHER_BASIS), ShapeError,
                           "composed maps need a common basis"),
     "algebra-basis-group": (lambda A: A.replace(basis=GradedBasis(Z2SQ, ((0, 0),) * 3)),
-                            ShapeError, "basis group differs"),
+                            ShapeError, "commutation factor group differs"),
     "algebra-epsilon-group": (lambda A: A.replace(epsilon=SignBicharacter(Z2SQ, ((0, 0), (0, 0)))),
                               ShapeError, "commutation factor group differs"),
     "algebra-product-basis": (lambda A: A.replace(mu=BilinearProduct.zero(OTHER_BASIS)),
@@ -244,7 +244,7 @@ SHAPE_ERRORS = {
                        ShapeError, "common basis"),
     "morphism-groups": (lambda A: _morphism(load_fixture("diff4").algebra,
                                             load_fixture("group_algebra_z2sq").algebra),
-                        ShapeError, "common grading group"),
+                        ShapeError, "common basis"),
     "morphism-target-product": (lambda A: _morphism(A, A.replace(bracket=None)),
                                 MissingComponentError, "target algebra has no bracket"),
     "group-reduce": (lambda A: A.group.reduce((0, 0)), ShapeError, "expected 1 coordinates"),

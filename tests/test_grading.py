@@ -161,7 +161,7 @@ class TestClosedForm:
         # the same for the algebra layer, after a full Hom-Poisson sweep
         warm, cold = load_fixture("example3_corrected").algebra, load_fixture("example3_corrected").algebra
         assert all_ok(check_hom_poisson(warm))
-        for w, c, cache in [(warm, cold, "_eps"), (warm.alpha, cold.alpha, "_columns"),
+        for w, c, cache in [(warm, cold, "eps"), (warm.alpha, cold.alpha, "_columns"),
                             (warm.mu, cold.mu, "_rows"), (warm.bracket, cold.bracket, "_rows")]:
             assert cache in vars(w) and cache not in vars(c)
             assert w == c and hash(w) == hash(c) and repr(w) == repr(c)
@@ -169,9 +169,11 @@ class TestClosedForm:
         g, fresh = GroupSpec((2, 3)), load_fixture("example3_corrected").algebra
         inputs = [(g, ["moduli"]), (SignBicharacter(g, ((1, 0), (0, 0))), ["group", "matrix"]),
                   (fresh.alpha, ["basis", "matrix"]), (fresh.mu, ["basis", "entries"]),
-                  (fresh, ["group", "epsilon", "basis", "mu", "bracket", "alpha"])]
+                  (fresh, ["epsilon", "basis", "mu", "bracket", "alpha"])]
         for obj, names in inputs:
             assert list(vars(obj)) == names
+        # the algebra's group is its basis's, not a stored copy
+        assert fresh.group is fresh.basis.group
 
     def test_sum_table_matches_add(self):
         g = GroupSpec((2, 3, 4))

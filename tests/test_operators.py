@@ -169,7 +169,7 @@ class TestAlphaCommutation:
     def test_swap_against_nonscalar_alpha(self):
         g = GroupSpec((2,))
         basis = GradedBasis(g, ((0,), (0,)))
-        A = GradedAlgebra(g, SignBicharacter(g, ((0,),)), basis,
+        A = GradedAlgebra(SignBicharacter(g, ((0,),)), basis,
                           BilinearProduct.zero(basis), None,
                           EvenLinearMap.diagonal(basis, (1, 2)))
         swap = EvenLinearMap(basis, ((0, 1), (1, 0)))
@@ -214,7 +214,7 @@ class TestSearch:
     def test_dimension_guard(self, rb2dim):
         g = rb2dim.group
         basis = GradedBasis(g, ((0,),) * 7)
-        big = GradedAlgebra(g, rb2dim.epsilon, basis, BilinearProduct.zero(basis),
+        big = GradedAlgebra(rb2dim.epsilon, basis, BilinearProduct.zero(basis),
                             None, EvenLinearMap.identity(basis))
         with pytest.raises(SearchSpaceError):
             search_diagonal_operators(big, "nijenhuis", (0, 1))
@@ -222,7 +222,7 @@ class TestSearch:
     def test_size_guard(self, rb2dim):
         g = rb2dim.group
         basis = GradedBasis(g, ((0,),) * 6)
-        A = GradedAlgebra(g, rb2dim.epsilon, basis, BilinearProduct.zero(basis),
+        A = GradedAlgebra(rb2dim.epsilon, basis, BilinearProduct.zero(basis),
                           None, EvenLinearMap.identity(basis))
         with pytest.raises(SearchSpaceError):
             search_diagonal_operators(A, "nijenhuis", range(9))

@@ -179,7 +179,7 @@ def test_commutator_bracket_matches_dense_formula(name):
     A = load_fixture(name).algebra
     bracket = commutator_bracket(A).bracket
     for i, j in itertools.product(range(A.dim), repeat=2):
-        expected = vec_sub(A.mu.of_pair(i, j), vec_scale(A.eps(i, j), A.mu.of_pair(j, i)))
+        expected = vec_sub(A.mu.of_pair(i, j), vec_scale(A.eps[i][j], A.mu.of_pair(j, i)))
         assert bracket.of_pair(i, j) == expected
 
 
@@ -242,7 +242,7 @@ def random_algebras(draw):
     alpha = _even_rows(draw, degs, constants)
     alpha[0][1] = draw(nonzero)
     exponents = [[draw(st.integers(0, 1)) for _ in range(g.rank)] for _ in range(g.rank)]
-    A = GradedAlgebra(g, SignBicharacter(g, exponents), basis, product(), product(),
+    A = GradedAlgebra(SignBicharacter(g, exponents), basis, product(), product(),
                       EvenLinearMap(basis, alpha))
     maps = [EvenLinearMap(basis, _even_rows(draw, degs, constants)) for _ in range(2)]
     return A, maps[0], A, maps
@@ -431,7 +431,7 @@ def _exterior_line():
     g = GroupSpec((2,))
     basis = GradedBasis(g, ((0,), (1,)))
     mu = BilinearProduct(basis, ((0, 0, 0, F(1)), (0, 1, 1, F(1)), (1, 0, 1, F(1))))
-    return GradedAlgebra(g, SignBicharacter(g, ((1,),)), basis, mu, None,
+    return GradedAlgebra(SignBicharacter(g, ((1,),)), basis, mu, None,
                          EvenLinearMap.identity(basis))
 
 

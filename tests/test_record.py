@@ -28,7 +28,7 @@ def _basis():
 
 def _algebra():
     basis = _basis()
-    return GradedAlgebra(_group(), SignBicharacter(_group(), ((1,),)), basis,
+    return GradedAlgebra(SignBicharacter(_group(), ((1,),)), basis,
                          BilinearProduct(basis, ((0, 0, 0, 1), (0, 1, 1, 1))), None,
                          EvenLinearMap.identity(basis))
 
@@ -43,7 +43,7 @@ VALUE_TYPES = [
     (GradedBasis, ["group", "degrees"], lambda: (_group(), ((0,), (1,)))),
     (EvenLinearMap, ["basis", "matrix"], lambda: (_basis(), ((1, 0), (0, 2)))),
     (BilinearProduct, ["basis", "entries"], lambda: (_basis(), ((0, 1, 1, 3),))),
-    (GradedAlgebra, ["group", "epsilon", "basis", "mu", "bracket", "alpha"],
+    (GradedAlgebra, ["epsilon", "basis", "mu", "bracket", "alpha"],
      lambda: tuple(vars(_algebra()).values())),
     (OperatorClaim, ["map", "kind", "power", "weight"],
      lambda: (EvenLinearMap.identity(_basis()), "rota-baxter", 0, -1)),
