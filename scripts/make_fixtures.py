@@ -112,7 +112,7 @@ def main():
         for i, x in enumerate(els) for j, y in enumerate(els)
     ))
     GA = GradedAlgebra(SignBicharacter(g, ((0, 0), (0, 0))), basis, mu,
-                       BilinearProduct.zero(basis), EvenLinearMap.identity(basis))
+                       BilinearProduct(basis, ()), EvenLinearMap.identity(basis))
     write("group_algebra_z2sq", AlgebraDocument(
         name="group-algebra-z2xz2",
         algebra=GA,
@@ -132,7 +132,7 @@ def main():
         (0, 0, 0, F(1)), (0, 1, 1, F(1)), (1, 0, 1, F(1)), (1, 1, 0, F(1)),
     ))
     KZ2 = GradedAlgebra(SignBicharacter(g, ((0,),)), basis, mu,
-                        BilinearProduct.zero(basis), EvenLinearMap.identity(basis))
+                        BilinearProduct(basis, ()), EvenLinearMap.identity(basis))
     write("group_algebra_z2", AlgebraDocument(
         name="group-algebra-z2",
         algebra=KZ2,
@@ -148,7 +148,7 @@ def main():
             (1, 0): 1, (2, 0): 2, (3, 0): 3, (1, 2): 3, (2, 1): 3}
     mu = BilinearProduct(basis, tuple((i, j, k, F(1)) for (i, j), k in prod.items()))
     D4 = GradedAlgebra(SignBicharacter(g, ((0,),)), basis, mu,
-                       BilinearProduct.zero(basis), EvenLinearMap.identity(basis))
+                       BilinearProduct(basis, ()), EvenLinearMap.identity(basis))
     d = EvenLinearMap(basis, ((0, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0)))
     write("diff4", AlgebraDocument(
         name="truncated-polynomials-with-differential",

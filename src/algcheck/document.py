@@ -22,7 +22,7 @@ from .errors import (
 from .grading import GroupSpec, MultiplierTable, SignBicharacter
 from .report import _text
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")  # ASCII digits only
 
 
 def parse_rational(value, location=None):
@@ -30,7 +30,7 @@ def parse_rational(value, location=None):
         raise DocumentError("bad-rational", f"not a rational: {value!r}", location)
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL.match(value):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         num, _, den = value.partition("/")
         try:
             num, den = int(num), int(den or 1)

@@ -30,7 +30,7 @@ import itertools
 import math
 import os
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from ._record import record
 from .errors import InvalidRepresentationError, ShapeError
@@ -56,6 +56,15 @@ def _rational(x, what):
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise InvalidRepresentationError(f"{what} must be integers or Fractions, got {x!r}")
     return Fraction(x)
+
+
+def _square(rows, n, entry, noun):
+    """The rows with `entry` applied to each entry, as a tuple of tuples;
+    a ShapeError that names `noun` unless there are n rows of n entries."""
+    rows = tuple(tuple(map(entry, row)) for row in rows)
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ShapeError(f"{noun} must be {n}x{n}")
+    return rows
 
 
 def group_order_bound():
@@ -97,11 +106,6 @@ class GroupSpec:
     @property
     def zero(self):
         return (0,) * self.rank
-
-    def reduce(self, coords):
-        if len(coords) != self.rank:
-            raise ShapeError(f"expected {self.rank} coordinates, got {len(coords)}")
-        return tuple(c % m for c, m in zip(_integers(coords, "group coordinates"), self.moduli))
 
     def is_canonical(self, coords):
         """coords has one int (not a bool) per factor, in [0, m_i)."""
@@ -175,11 +179,8 @@ class SignBicharacter:
     matrix: tuple
 
     def __post_init__(self):
-        r = self.group.rank
-        rows = tuple(tuple(x % 2 for x in _integers(row, "exponent entries"))
-                     for row in self.matrix)
-        if len(rows) != r or any(len(row) != r for row in rows):
-            raise ShapeError(f"exponent matrix must be {r}x{r}")
+        rows = _square(self.matrix, self.group.rank,
+                       lambda x: _integers((x,), "exponent entries")[0] % 2, "exponent matrix")
         odd = [m % 2 for m in self.group.moduli]
         if any(x and (odd[i] or odd[j]) for i, row in enumerate(rows) for j, x in enumerate(row)):
             raise InvalidRepresentationError("exponent matrix rows/columns at odd moduli "
@@ -211,10 +212,8 @@ class MultiplierTable:
     values: tuple
 
     def __post_init__(self):
-        n = self.group.order
-        rows = tuple(tuple(_rational(x, "multiplier entries") for x in row) for row in self.values)
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise ShapeError(f"multiplier table must be {n}x{n}")
+        rows = _square(self.values, self.group.order, partial(_rational, what="multiplier entries"),
+                       "multiplier table")
         for row in rows:
             for x in row:
                 if x == 0:

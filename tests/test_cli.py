@@ -63,6 +63,14 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: shape") and "Traceback" not in err
 
+    def test_rational_with_trailing_newline(self, tmp_path, capsys):
+        raw = rb2dim_with(("mu", 0, 3), "1\n")
+        assert main(["validate", written(tmp_path, raw)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad-rational at mu[0]: ")
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_bad_group_bound_variable(self, monkeypatch, capsys):
         monkeypatch.setenv("ALGCHECK_GROUP_BOUND", "abc")
         assert main(["validate", fx("rb2dim")]) == 2

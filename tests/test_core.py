@@ -50,7 +50,7 @@ def test_rb2dim_is_hom_associative(rb2dim):
 
 
 def test_zero_product_is_hom_associative(rb2dim):
-    zero = BilinearProduct.zero(rb2dim.basis)
+    zero = BilinearProduct(rb2dim.basis, ())
     assert check_hom_associative(rb2dim.replace(mu=zero)).ok
 
 
@@ -96,7 +96,7 @@ class TestHomLie:
         assert all_ok(check_hom_lie(example3))
 
     def test_abelian_bracket(self, example3):
-        A = example3.replace(bracket=BilinearProduct.zero(example3.basis))
+        A = example3.replace(bracket=BilinearProduct(example3.basis, ()))
         assert all_ok(check_hom_lie(A))
 
     def test_commutator_of_rb2dim(self, rb2dim_poisson):
@@ -108,7 +108,7 @@ class TestHomLeibniz:
         assert check_hom_leibniz(example3).ok
 
     def test_zero_bracket(self, example3):
-        A = example3.replace(bracket=BilinearProduct.zero(example3.basis))
+        A = example3.replace(bracket=BilinearProduct(example3.basis, ()))
         assert check_hom_leibniz(A).ok
 
     def test_perturbed_fixture_located(self, example3):
@@ -234,12 +234,12 @@ SHAPE_ERRORS = {
                             ShapeError, "commutation factor group differs"),
     "algebra-epsilon-group": (lambda A: A.replace(epsilon=SignBicharacter(Z2SQ, ((0, 0), (0, 0)))),
                               ShapeError, "commutation factor group differs"),
-    "algebra-product-basis": (lambda A: A.replace(mu=BilinearProduct.zero(OTHER_BASIS)),
+    "algebra-product-basis": (lambda A: A.replace(mu=BilinearProduct(OTHER_BASIS, ())),
                               ShapeError, "product basis differs"),
     "algebra-alpha-basis": (lambda A: A.replace(alpha=EvenLinearMap.identity(OTHER_BASIS)),
                             ShapeError, "alpha basis differs"),
     "morphism-dimensions": (lambda A: _morphism(A, A, GradedBasis(A.group, ((0,),))),
-                            ShapeError, "equal dimensions"),
+                            ShapeError, "common basis"),
     "morphism-basis": (lambda A: check_morphism(SWAP_ON_OTHER_BASIS, A, A),
                        ShapeError, "common basis"),
     "morphism-groups": (lambda A: _morphism(load_fixture("diff4").algebra,
@@ -247,7 +247,18 @@ SHAPE_ERRORS = {
                         ShapeError, "common basis"),
     "morphism-target-product": (lambda A: _morphism(A, A.replace(bracket=None)),
                                 MissingComponentError, "target algebra has no bracket"),
-    "group-reduce": (lambda A: A.group.reduce((0, 0)), ShapeError, "expected 1 coordinates"),
+    "map-rows": (lambda A: EvenLinearMap(A.basis, ((1, 0, 0), (0, 1, 0))), ShapeError,
+                 "matrix must be 3x3"),
+    "map-ragged": (lambda A: EvenLinearMap(A.basis, ((1, 0, 0), (0, 1), (0, 0, 1))), ShapeError,
+                   "matrix must be 3x3"),
+    "multiplier-rows": (lambda A: MultiplierTable(A.group, ((1, 1),)), ShapeError,
+                        "multiplier table must be 2x2"),
+    "multiplier-ragged": (lambda A: MultiplierTable(A.group, ((1, 1), (1,))), ShapeError,
+                          "multiplier table must be 2x2"),
+    "exponent-rows": (lambda A: SignBicharacter(Z2SQ, ((0, 0),)), ShapeError,
+                      "exponent matrix must be 2x2"),
+    "exponent-ragged": (lambda A: SignBicharacter(Z2SQ, ((0, 0), (0,))), ShapeError,
+                        "exponent matrix must be 2x2"),
 }
 
 

@@ -31,7 +31,8 @@ class TestRational:
     def test_accepts(self, raw, expected):
         assert parse_rational(raw) == expected
 
-    @pytest.mark.parametrize("raw", ["1.5", "1e3", "", "/3", "2/", "a", None, True, [1]])
+    @pytest.mark.parametrize("raw", ["1.5", "1e3", "", "/3", "2/", "a", None, True, [1],
+                                     "1\n", "1/2\n", "\u0663/\u0664", "\uff11"])
     def test_rejects_inexact(self, raw):
         with pytest.raises(DocumentError) as exc:
             parse_rational(raw)

@@ -46,15 +46,6 @@ class TestGroup:
         with pytest.raises(ShapeError):
             Z4.add((3,), (1, 2))
 
-    def test_reduce_idempotent(self):
-        a = Z4.reduce((7,))
-        assert a == (3,) and Z4.reduce(a) == a
-
-    @pytest.mark.parametrize("coordinate", [2.5, 1.0, True, "1", F(1)])
-    def test_reduce_refuses_non_integers(self, coordinate):
-        with pytest.raises(InvalidRepresentationError):
-            Z4.reduce((coordinate,))
-
     def test_order_bound(self, monkeypatch):
         monkeypatch.setenv("ALGCHECK_GROUP_BOUND", "8")
         with pytest.raises(InvalidRepresentationError):

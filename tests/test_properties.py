@@ -67,18 +67,6 @@ HOM_ASSOCIATIVE_FIXTURES = [
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 vec3 = st.tuples(rationals, rationals, rationals)
 
-moduli_st = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3)
-
-
-@given(moduli_st, st.lists(st.integers(-40, 40), min_size=1, max_size=3))
-def test_reduce_is_idempotent_and_canonical(moduli, raw):
-    g = GroupSpec(tuple(moduli))
-    raw = tuple((raw * 3)[: len(moduli)])
-    a = g.reduce(raw)
-    assert g.is_canonical(a)
-    assert g.reduce(a) == a
-
-
 @given(st.integers(1, 3), st.data())
 def test_random_symmetric_exponent_matrix_is_bicharacter(n, data):
     g = GroupSpec((2,) * n)
@@ -193,6 +181,28 @@ nonzero = st.sampled_from([F(1), F(-1), F(3), F(1, 2), F(-5, 3)])
 def _even_rows(draw, degs, entry):
     n = len(degs)
     return [[draw(entry) if degs[r] == degs[c] else F(0) for c in range(n)] for r in range(n)]
+
+
+@st.composite
+def even_map_pairs(draw):
+    """Two random even maps on one random graded basis."""
+    g = GroupSpec(draw(st.sampled_from([(2,), (3,), (2, 2)])))
+    degs = [draw(st.sampled_from(g.elements())) for _ in range(draw(st.integers(1, 4)))]
+    basis = GradedBasis(g, tuple(degs))
+    return tuple(EvenLinearMap(basis, _even_rows(draw, degs, constants)) for _ in range(2))
+
+
+@given(even_map_pairs(), st.integers(0, 3))
+def test_compose_and_power_match_dense_apply(maps, k):
+    f, g = maps
+    n = f.basis.dim
+    fg, fk = f.compose(g), f.power(k)
+    for j in range(n):
+        assert fg.column(j) == f.apply(g.column(j))
+        v = tuple(F(int(i == j)) for i in range(n))
+        for _ in range(k):
+            v = f.apply(v)
+        assert fk.column(j) == v
 
 
 @st.composite
