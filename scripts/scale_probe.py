@@ -5,10 +5,11 @@ sweeps and operator predicates as the dimension grows.
 Run from the repository root:  python3 scripts/scale_probe.py [ORDER ...]
 
 For each group order (default 16, 32, 64 and 256) it prints the seconds
-`validate_bicharacter` takes on the identity exponent matrix, the seconds
+`validate_bicharacter` takes on the sign bicharacter of the identity
+exponent matrix (symmetric, so it passes in closed form), the seconds
 `validate_multiplier(symmetric=True)` takes on the symmetric multiplier
-s(x, y) = (-1)^(x . y) / 3, and the seconds `validate_bicharacter_table`
-takes on the delta of the multiplier (-1)^(x_0 y_1) 2/3, all in process.
+s(x, y) = (-1)^(x . y) / 3, and the seconds `validate_bicharacter` takes
+on the table delta of the multiplier (-1)^(x_0 y_1) 2/3, all in process.
 For each dimension in DIMS it prints the seconds `check_hom_poisson` takes
 on the eps-commutator of the group algebra K[Z_2^r], and the seconds
 `check_operator` takes on 2 id for every operator kind (Rota-Baxter at
@@ -61,7 +62,6 @@ from algcheck import (  # noqa: E402
     delta_from_multiplier,
     serialize_document,
     validate_bicharacter,
-    validate_bicharacter_table,
     validate_multiplier,
 )
 from algcheck.operators import KINDS  # noqa: E402
@@ -103,8 +103,8 @@ def z2_power(order):
 
 
 def sweep_seconds(order):
-    """(validate_bicharacter, validate_multiplier(symmetric=True),
-    validate_bicharacter_table) seconds on Z_2^r with 2^r = order."""
+    """(validate_bicharacter on signs, validate_multiplier(symmetric=True),
+    validate_bicharacter on a table) seconds on Z_2^r with 2^r = order."""
     g, e = z2_power(order)
     s = MultiplierTable.from_function(
         g, lambda x, y: F(-1) ** sum(a * b for a, b in zip(x, y)) / 3)
@@ -112,7 +112,7 @@ def sweep_seconds(order):
     delta = delta_from_multiplier(MultiplierTable.from_function(
         g, lambda x, y: F(-1) ** (sum(x[:1]) * sum(y[1:2])) * F(2, 3)))
     return (_timed(validate_bicharacter, e), _timed(validate_multiplier, s, symmetric=True),
-            _timed(validate_bicharacter_table, delta))
+            _timed(validate_bicharacter, delta))
 
 
 def group_algebra_commutator(dim):
@@ -217,8 +217,8 @@ def startup_cpu(runs=CLI_RUNS):
 
 def main(argv=None):
     orders = [int(a) for a in (sys.argv[1:] if argv is None else argv)] or ORDERS
-    print("| |G| | validate_bicharacter | validate_multiplier(symmetric=True) "
-          "| validate_bicharacter_table |")
+    print("| |G| | validate_bicharacter, signs | validate_multiplier(symmetric=True) "
+          "| validate_bicharacter, table |")
     print("|---|---|---|---|")
     for order in orders:
         bich, mult, table = sweep_seconds(order)

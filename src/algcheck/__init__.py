@@ -19,7 +19,6 @@ from .grading import (
     delta_from_multiplier,
     twist_epsilon,
     validate_bicharacter,
-    validate_bicharacter_table,
     validate_multiplier,
 )
 from .core import (

@@ -13,7 +13,7 @@ from . import constructions
 from .core import EvenLinearMap, _axioms, check_morphism
 from .document import AlgebraDocument, parse_document, parse_rational, serialize_document
 from .errors import AlgcheckError, DocumentError, HypothesisError
-from .grading import _factor_laws, validate_multiplier
+from .grading import _parse_int, group_order_bound, validate_bicharacter, validate_multiplier
 from .operators import KINDS, OperatorClaim, check_operator
 from .report import AxiomReport, all_ok, render_reports
 
@@ -52,7 +52,7 @@ def _emit(as_json, code=None, full=False, **payload):
 
 
 def _validation_reports(doc, commutative=False):
-    reports = _factor_laws(doc.algebra.epsilon)
+    reports = validate_bicharacter(doc.algebra.epsilon)
     for name, table in sorted(doc.multipliers.items()):
         reports += [AxiomReport(f"{name}:{r.axiom}", r.violations)
                     for r in validate_multiplier(table)]
@@ -194,6 +194,14 @@ def cmd_twist(args):
                  findings=result.findings, **document)
 
 
+def _power_arg(text):
+    """--power's value: ASCII digits after an optional sign, else a usage error."""
+    try:
+        return _parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and the class of its subparsers, whose --help is
     written with print(): a failed write to stdout raises, where argparse
@@ -223,7 +231,7 @@ def build_parser():
     p.add_argument("path")
     p.add_argument("--name", required=True)
     p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("--power", type=int, default=0)
+    p.add_argument("--power", type=_power_arg, default=0)
     p.add_argument("--weight")
     p.add_argument("--product", default="all", choices=("all", "mu", "bracket"))
     p.add_argument("--json", action="store_true")
@@ -236,7 +244,7 @@ def build_parser():
     p.add_argument("--operator")
     p.add_argument("--multiplier")
     p.add_argument("--weight")
-    p.add_argument("--power", type=int, default=0)
+    p.add_argument("--power", type=_power_arg, default=0)
     p.add_argument("--xi")
     p.add_argument("--second", help="second input file (tensor construction)")
     p.add_argument("-o", "--output")
@@ -257,6 +265,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        group_order_bound()  # a bad ALGCHECK_GROUP_BOUND is named here, not blamed on a document
         return args.fn(args)
     except HypothesisError as exc:
         return _emit(args.json, code=EXIT_AXIOM, gate=str(exc), reports=exc.reports)

@@ -35,10 +35,10 @@ from .core import (
 )
 from .errors import HypothesisError, IncompatibilityError, ShapeError
 from .grading import (
-    _factor_laws,
     _rational,
     delta_from_multiplier,
     twist_epsilon,
+    validate_bicharacter,
     validate_multiplier,
 )
 from .operators import OperatorClaim, _deformed, check_operator
@@ -78,7 +78,7 @@ def _rebuilt(P, product, names=("mu", "bracket"), **replace):
 
 def _gate_factor(P):
     """Gate P's commutation factor on the bicharacter laws."""
-    _gate(_factor_laws(P.epsilon), "commutation factor is not a bicharacter")
+    _gate(validate_bicharacter(P.epsilon), "commutation factor is not a bicharacter")
 
 
 def _gate_input(P):
@@ -248,7 +248,7 @@ def tensor_with_commutative(A, P):
     up the sign eps(deg x, deg b)."""
     if A.group != P.group:
         raise IncompatibilityError("tensor factors have different grading groups")
-    if A.epsilon._table != P.epsilon._table:
+    if A.epsilon.values != P.epsilon.values:
         raise IncompatibilityError("tensor factors have different commutation factors")
     _gate_factor(P)
     _gate([check_hom_associative(A), check_epsilon_commutative(A)],

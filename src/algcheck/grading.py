@@ -1,7 +1,8 @@
 """Finite abelian grading groups, sign bicharacters and multipliers.
 
 The grading group is a finite product of cyclic groups Z_{m_1} x ... x
-Z_{m_r}; elements are coordinate tuples reduced into [0, m_i).  Sign
+Z_{m_r}; elements are coordinate tuples reduced into [0, m_i).  A
+commutation factor eps is a sign bicharacter or a rational table.  Sign
 bicharacters take values in {+1, -1} and are stored as a mod-2 exponent
 matrix E with eps(a, b) = (-1)^(a^T E b).  Multipliers (2-cocycles on the
 group) and general commutation factors are stored as full |G| x |G|
@@ -9,26 +10,24 @@ tables of nonzero rationals in the canonical lexicographic element order.
 
 The group laws run on element indices, not coordinate tuples.  A group
 derives its element tuple (`_els`) and its addition table (`_sums`: the
-index of a + b, for the indices of a and b), and every commutation
-factor one value table indexed the same way (`_table`), which its
-`value` reads; each is a property of the object's fields, built at most
-once.  Each law is one `report._sweep` call of arity 1 to 3, except
-the sign laws that hold in closed form, with lists over the last index
-as its sides; index order is lexicographic element order, and a
-violation carries element tuples and Fraction values.  A law that
-compares a table's values or their products as cleared ints records the
-ints it compared over D or D^2 (`_recorded`), which are those values and
+index of a + b, for the indices of a and b), and both factor classes
+expose a value table indexed the same way (`values`, derived from E for
+a sign bicharacter), which their `value` reads; each derived table is a
+property of the object's fields, built at most once.  Each law is one
+`report._sweep` call of arity 1 to 3, with lists over the last index as
+its sides; index order is lexicographic element order, and a violation
+carries element tuples and Fraction values.  A law that compares a
+table's values or their products as cleared ints records the ints it
+compared over D or D^2 (`_recorded`), which are those values and
 products; the identity-element and diagonal-sign laws record table
-entries, and the sign skew-symmetry law -1 against 1.
-A sign matrix is well defined on the group by construction, so a sign
-bicharacter sweeps only its skew-symmetry pairs (see
-`validate_bicharacter`); multiplier and table laws compare integers (see
-`validate_multiplier` and `validate_bicharacter_table`).
+entries.  `validate_bicharacter` checks both factor classes, and a sign
+matrix equal to its transpose passes in closed form.
 """
 
 import itertools
 import math
 import os
+import re
 from fractions import Fraction
 from functools import cached_property, partial
 
@@ -67,10 +66,21 @@ def _square(rows, n, entry, noun):
     return rows
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # ASCII digits only, as the file format's rationals
+
+
+def _parse_int(text):
+    """text as an int: a ValueError unless it is ASCII digits after an optional sign,
+    so other Unicode digits, '1_0' and ' 12', which int() takes, are refused."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def group_order_bound():
-    raw = os.environ.get("ALGCHECK_GROUP_BOUND", DEFAULT_GROUP_BOUND)
+    raw = os.environ.get("ALGCHECK_GROUP_BOUND", str(DEFAULT_GROUP_BOUND))
     try:
-        return int(raw)
+        return _parse_int(raw)
     except ValueError:
         raise InvalidRepresentationError(
             f"ALGCHECK_GROUP_BOUND must be an integer, got {raw!r}"
@@ -148,25 +158,10 @@ class GroupSpec:
         return sums
 
 
-def _forms(group, matrix):
-    """For each element a, in index order: the bitmask of the parities of
-    its coordinates and the bitmask of a^T M mod 2 (M a 0/1 matrix)."""
-    rows = [sum(1 << j for j, x in enumerate(row) if x) for row in matrix]
-    out = []
-    for a in group._els:
-        bits = form = 0
-        for i, c in enumerate(a):
-            if c & 1:
-                bits |= 1 << i
-                form ^= rows[i]
-        out.append((bits, form))
-    return out
-
-
 def _value(factor, a, b):
     """eps(a, b), read off the factor's value table: `value` on both factor classes."""
     index = factor.group.index
-    return factor._table[index(a)][index(b)]
+    return factor.values[index(a)][index(b)]
 
 
 @record
@@ -190,10 +185,19 @@ class SignBicharacter:
     value = _value
 
     @cached_property
-    def _table(self):
+    def values(self):
         """The value table: row i, column j is (-1)^(a^T E b) for a, b
-        elements i and j, read off the parity of (a^T E) & b."""
-        forms = _forms(self.group, self.matrix)
+        elements i and j, read off the parity of (a^T E) & b, with a mod 2
+        and a^T E mod 2 as bitmasks."""
+        rows = [sum(1 << j for j, x in enumerate(row) if x) for row in self.matrix]
+        forms = []
+        for a in self.group._els:
+            bits = form = 0
+            for i, c in enumerate(a):
+                if c & 1:
+                    bits |= 1 << i
+                    form ^= rows[i]
+            forms.append((bits, form))
         return tuple(
             tuple(MINUS_ONE if (form & bits).bit_count() & 1 else ONE for bits, _ in forms)
             for _, form in forms
@@ -232,42 +236,6 @@ class MultiplierTable:
 
     value = _value
 
-    @property
-    def _table(self):
-        """The value table on element indices: the stored rows."""
-        return self.values
-
-
-def validate_bicharacter(e):
-    """The bicharacter laws for a SignBicharacter, in closed form.
-
-    Only skew-symmetry can fail, and it is checked on the |G|^2 pairs; the
-    other four laws are returned as empty reports without a sweep.  Proof:
-    the type's invariant makes every row and column of E at an odd modulus
-    vanish mod 2, so a^T E b mod 2 only reads a_i and b_j at even moduli
-    m_i, m_j, and there (a + b)_i = (a_i + b_i) mod m_i has the parity of
-    a_i + b_i.  So the exponent is additive in each argument mod 2 and eps
-    is additive on both sides; the exponent of (0, b) and (a, 0) is 0, so
-    eps is 1 at the identity; and every value is +-1, so the diagonal sign
-    law holds.  Finally eps(a, b) eps(b, a) = (-1)^(a^T (E + E^T) b), so
-    the pair (a, b) fails skew-symmetry exactly when a^T (E + E^T) b is
-    odd, with lhs -1 and rhs 1.  Each element's row of E + E^T is
-    precomputed as a bitmask, so a pair costs one AND and one parity
-    count."""
-    skew_form = tuple(tuple(x ^ y for x, y in zip(row, col))
-                      for row, col in zip(e.matrix, zip(*e.matrix)))
-    els, forms = e.group._els, _forms(e.group, skew_form)
-    zeros = [0] * len(els)
-
-    def parities(a):  # a row whose skew form is 0 has nothing to compare
-        form = forms[a][1]
-        return (zeros, [(form & bits).bit_count() & 1 for bits, _ in forms]) if form else (zeros,)
-
-    skew = _sweep("bicharacter:skew-symmetry", len(els), 2, parities,
-                  lambda _, a, b: ((els[a], els[b]), (MINUS_ONE,), (ONE,)))
-    return [skew] + [AxiomReport(f"bicharacter:{law}") for law in (
-        "additivity-left", "additivity-right", "identity-element", "diagonal-sign")]
-
 
 def _cleared(table):
     """D, the lcm of the table's denominators, and the rows of D * table as ints."""
@@ -285,19 +253,38 @@ def _recorded(els, scale):
     return exact
 
 
-def validate_bicharacter_table(t):
-    """The same exhaustive bicharacter laws for a rational-valued table
-    (used to certify the delta of a multiplier, and products of factors).
+def validate_bicharacter(e):
+    """The exhaustive bicharacter laws for a commutation factor of either
+    class: skew-symmetry, additivity on each side, eps = 1 at the identity
+    and eps(a, a) = +-1.
 
-    With D the lcm of its denominators and T = D*t, the laws are swept on
-    the ints of T: T(a, b) T(b, a) = D^2, T(a, 0) = D = T(0, a), T(a, a)^2
-    = D^2, and D*T(a, b+c) = T(a, b) T(a, c), likewise on the right.  A
-    skew-symmetry or additivity violation carries the compared ints over
-    D^2, which are the table's own values and their products; an
-    identity-element violation carries the two table entries, and a
-    diagonal-sign violation the entry itself."""
-    g = t.group
-    els, sums, val = g._els, g._sums, t._table
+    With D the lcm of the denominators of the value table t and T = D*t,
+    the laws are swept on the ints of T: T(a, b) T(b, a) = D^2, T(a, 0) =
+    D = T(0, a), T(a, a)^2 = D^2, and D*T(a, b+c) = T(a, b) T(a, c),
+    likewise on the right.  A skew-symmetry or additivity violation
+    carries the compared ints over D^2, which are the table's own values
+    and their products; an identity-element violation carries the two
+    table entries, and a diagonal-sign violation the entry itself.
+
+    A SignBicharacter can fail only skew-symmetry, so it is swept for that
+    law alone (with D = 1: a violation records lhs -1 and rhs 1), and one
+    whose exponent matrix E equals its transpose mod 2 is not swept at
+    all.  Proof: the type's invariant makes every row and column of E at
+    an odd modulus vanish mod 2, so a^T E b mod 2 only reads a_i and b_j
+    at even moduli m_i, m_j, and there (a + b)_i = (a_i + b_i) mod m_i has
+    the parity of a_i + b_i.  So the exponent is additive in each argument
+    mod 2 and eps is additive on both sides; the exponent of (0, b) and
+    (a, 0) is 0, so eps is 1 at the identity; and every value is +-1, so
+    the diagonal sign law holds.  Finally eps(a, b) eps(b, a) =
+    (-1)^(a^T (E + E^T) b), which is 1 on every pair when E + E^T
+    vanishes mod 2."""
+    sign = isinstance(e, SignBicharacter)
+    rest = [AxiomReport(f"bicharacter:{law}") for law in (
+        "additivity-left", "additivity-right", "identity-element", "diagonal-sign")]
+    if sign and e.matrix == tuple(zip(*e.matrix)):
+        return [AxiomReport("bicharacter:skew-symmetry")] + rest
+    g = e.group
+    els, val = g._els, e.values
     n = g.order
     d, ints = _cleared(val)
     cols = [list(col) for col in zip(*ints)]
@@ -305,6 +292,9 @@ def validate_bicharacter_table(t):
     skew = _sweep("bicharacter:skew-symmetry", n, 2,
                   lambda a: ([x * y for x, y in zip(ints[a], cols[a])], square),
                   _recorded(els, d * d))
+    if sign:
+        return [skew] + rest
+    sums = g._sums
     # eps(a, b + c) = eps(a, b) eps(a, c)
     left = _sweep(
         "bicharacter:additivity-left", n, 3,
@@ -323,13 +313,6 @@ def validate_bicharacter_table(t):
     return [skew, left, right, unit, diag]
 
 
-def _factor_laws(e):
-    """The bicharacter laws of a commutation factor of either class."""
-    if isinstance(e, SignBicharacter):
-        return validate_bicharacter(e)
-    return validate_bicharacter_table(e)
-
-
 def validate_multiplier(s, symmetric=False):
     """Check the 2-cocycle law s(x, y+z)s(y, z) = s(x, y)s(x+y, z) on all
     triples; with `symmetric`, additionally check symmetry and the cyclic
@@ -344,7 +327,7 @@ def validate_multiplier(s, symmetric=False):
     g = s.group
     els, sums = g._els, g._sums
     n = g.order
-    d, ints = _cleared(s._table)
+    d, ints = _cleared(s.values)
 
     def after(x, y):
         # s(x, y + z) s(y, z) over z
@@ -373,7 +356,7 @@ def validate_multiplier(s, symmetric=False):
 
 def delta_from_multiplier(s):
     """delta(x, y) = s(x, y) / s(y, x), the bicharacter associated with s."""
-    val = s._table
+    val = s.values
     return MultiplierTable(s.group, tuple(tuple(a / b for a, b in zip(row, col))
                                           for row, col in zip(val, zip(*val))))
 
@@ -383,4 +366,4 @@ def twist_epsilon(e, d):
     if e.group != d.group:
         raise ShapeError("commutation factors live on different groups")
     return MultiplierTable(e.group, tuple(tuple(a * b for a, b in zip(ra, rb))
-                                          for ra, rb in zip(e._table, d._table)))
+                                          for ra, rb in zip(e.values, d.values)))

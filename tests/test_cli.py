@@ -72,9 +72,20 @@ class TestValidate:
         assert captured.out == ""
 
     def test_bad_group_bound_variable(self, monkeypatch, capsys):
-        monkeypatch.setenv("ALGCHECK_GROUP_BOUND", "abc")
-        assert main(["validate", fx("rb2dim")]) == 2
-        assert "ALGCHECK_GROUP_BOUND" in capsys.readouterr().err
+        # the bound is read as the file format reads integers: a sign and
+        # ASCII digits; int() would take the last three
+        for raw in ("abc", "\u0661", "1_0", " 12"):
+            monkeypatch.setenv("ALGCHECK_GROUP_BOUND", raw)
+            assert main(["validate", fx("rb2dim")]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: ALGCHECK_GROUP_BOUND must be an integer, got {raw!r}\n"
+            assert captured.out == ""
+
+    def test_empty_basis(self, tmp_path, capsys):
+        raw = rb2dim_with(("basis", "degrees"), [])
+        assert main(["validate", written(tmp_path, raw)]) == 2
+        assert capsys.readouterr().err == (
+            "error: shape at basis.degrees: basis must have dimension >= 1\n")
 
 
 class TestReport:
@@ -105,6 +116,19 @@ class TestCheckOperator:
     def test_unknown_name(self, capsys):
         assert main(["check-operator", fx("rb2dim"), "--name", "nope",
                      "--kind", "centroid"]) == 2
+
+    @pytest.mark.parametrize("power", ["\u0661", "1_0", " 12"],
+                             ids=["arabic-indic", "underscore", "space"])
+    def test_power_is_ascii_digits(self, capsys, power):
+        # int() reads these as 1, 10 and 12; the file format's integers do not
+        for argv in (["check-operator", fx("diff4"), "--name", "d", "--kind", "averaging"],
+                     ["twist", fx("diff4"), "--construction", "averaging-power",
+                      "--operator", "d"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--power", power])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.endswith(f"error: argument --power: not an integer: {power!r}\n")
 
 
 class TestTwist:

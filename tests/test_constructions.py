@@ -23,7 +23,7 @@ from algcheck import (
     rota_baxter_twist,
     tensor_with_commutative,
     transport_along_bijection,
-    validate_bicharacter_table,
+    validate_bicharacter,
     xi_twist,
 )
 
@@ -273,7 +273,7 @@ class TestNijenhuisTwist:
         with pytest.raises(HypothesisError) as info:
             nijenhuis_twist(P, EvenLinearMap.identity(P.basis))
         assert str(info.value) == "commutation factor is not a bicharacter"
-        assert info.value.reports == [r for r in validate_bicharacter_table(P.epsilon) if not r.ok]
+        assert info.value.reports == [r for r in validate_bicharacter(P.epsilon) if not r.ok]
         assert [r.axiom for r in info.value.reports] == [
             "bicharacter:additivity-left", "bicharacter:additivity-right",
             "bicharacter:identity-element"]

@@ -216,6 +216,8 @@ def _morphism(src, dst, basis=None):
 # every shape error of the value types and check_morphism, on example3:
 # (call, error type, message fragment)
 SHAPE_ERRORS = {
+    "basis-empty": (lambda A: GradedBasis(A.group, ()), ShapeError,
+                    "basis must have dimension >= 1"),
     "basis-degree": (lambda A: GradedBasis(A.group, ((2,),)), ShapeError, "not canonical"),
     # a degree coordinate must be an int, and not a bool
     "basis-degree-half": (lambda A: GradedBasis(A.group, ((0.5,), (0,))), ShapeError,

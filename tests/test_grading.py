@@ -15,7 +15,6 @@ from algcheck import (
     delta_from_multiplier,
     twist_epsilon,
     validate_bicharacter,
-    validate_bicharacter_table,
     validate_multiplier,
 )
 
@@ -128,6 +127,27 @@ class TestClosedForm:
         assert all(r.ok for r in rest)
         assert "_sums" not in vars(g)  # the sign path never needs the addition table
 
+    def test_symmetric_matrix_passes_without_any_table(self):
+        g = GroupSpec((2,) * 8)
+        m = tuple(tuple(int(i == j or {i, j} == {0, 5} or {i, j} == {3, 7}) for j in range(8))
+                  for i in range(8))
+        e = SignBicharacter(g, m)
+        reports = validate_bicharacter(e)
+        assert [rep.axiom for rep in reports] == [
+            "bicharacter:skew-symmetry", "bicharacter:additivity-left",
+            "bicharacter:additivity-right", "bicharacter:identity-element",
+            "bicharacter:diagonal-sign"]
+        assert all(rep.ok for rep in reports)
+        assert "values" not in vars(e)
+        assert not {"_els", "_sums"} & vars(g).keys()
+
+    def test_non_symmetric_matrix_is_swept_as_its_table(self):
+        g = GroupSpec((4, 2))
+        e = SignBicharacter(g, ((1, 1), (0, 0)))
+        reports = validate_bicharacter(e)
+        assert not reports[0].ok
+        assert reports == validate_bicharacter(MultiplierTable(g, e.values))
+
     @pytest.mark.parametrize("moduli", [(), (1,), (1, 1), (1, 2, 1)])
     def test_trivial_factors_give_five_empty_reports(self, moduli):
         g = GroupSpec(moduli)
@@ -146,7 +166,7 @@ class TestClosedForm:
         assert warm == cold and hash(warm) == hash(cold)
         assert repr(warm) == repr(cold) == "GroupSpec(moduli=(2, 3))"
         e = SignBicharacter(warm, ((1, 0), (0, 0)))
-        e._table
+        e.values
         assert e == SignBicharacter(cold, ((1, 0), (0, 0)))
         assert hash(e) == hash(SignBicharacter(cold, ((1, 0), (0, 0))))
         # the same for the algebra layer, after a full Hom-Poisson sweep
@@ -189,7 +209,7 @@ class TestMultiplier:
         # carry the table's own values and their products
         g = GroupSpec((2, 3))
         s = MultiplierTable.from_function(g, lambda x, y: F(1 + x[1] + 2 * y[0], 2 + x[0] * y[1]))
-        got = validate_multiplier(s, symmetric=True) + validate_bicharacter_table(s)
+        got = validate_multiplier(s, symmetric=True) + validate_bicharacter(s)
         assert all(not r.ok for r in got)
         assert [(r.axiom, [(v.indices, v.lhs, v.rhs) for v in r.violations]) for r in got] == (
             ref_multiplier(s, symmetric=True) + ref_bicharacter(s))
@@ -226,7 +246,7 @@ class TestDelta:
 
     def test_delta_is_a_bicharacter(self):
         d = delta_from_multiplier(sigma_asym())
-        assert all_ok(validate_bicharacter_table(d))
+        assert all_ok(validate_bicharacter(d))
 
 
 class TestTwistEpsilon:
@@ -245,7 +265,7 @@ class TestTwistEpsilon:
     def test_product_of_bicharacters_is_bicharacter(self):
         e = SignBicharacter(Z2SQ, ((1, 0), (0, 1)))
         out = twist_epsilon(e, delta_from_multiplier(sigma_asym()))
-        assert all_ok(validate_bicharacter_table(out))
+        assert all_ok(validate_bicharacter(out))
         for a in Z2SQ.elements():
             for b in Z2SQ.elements():
                 assert out.value(a, b) * out.value(b, a) == 1
