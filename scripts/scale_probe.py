@@ -22,8 +22,8 @@ Z_2^8, run in a fresh interpreter the way the console script runs it:
 the median over CLI_RUNS interpreters of the wall time and of the child's
 CPU time.  Every verdict must be PASS.
 
-Before that line it prints a start-up table, the median child CPU over
-CLI_RUNS fresh interpreters of a bare interpreter, of
+Before that line it prints a start-up table, the median wall time and
+child CPU over CLI_RUNS fresh interpreters of a bare interpreter, of
 `import algcheck.cli`, and of `validate` on example3_corrected through
 entry(), each ending with os._exit, and of the same `validate` through
 sys.exit(main()), which finalizes the interpreter.  Each row's CPU over
@@ -207,11 +207,11 @@ def cli_validate_seconds(rank=8, runs=CLI_RUNS):
         return child_seconds(ENTRY, "validate", str(path), runs=runs)
 
 
-def startup_cpu(runs=CLI_RUNS):
-    """Median child CPU seconds of each STARTUP row over `runs`
+def startup_seconds(runs=CLI_RUNS):
+    """Median (wall, CPU) seconds of each STARTUP row over `runs`
     interpreters, in order."""
     example = str(SRC.parent / "fixtures" / "example3_corrected.json")
-    return [child_seconds(code, *(["validate", example] if validate else []), runs=runs)[1]
+    return [child_seconds(code, *(["validate", example] if validate else []), runs=runs)
             for _, code, validate in STARTUP]
 
 
@@ -236,11 +236,13 @@ def main(argv=None):
         seconds, pairs = grassmann_seconds(rank)
         print(f"| {rank} | {2 ** rank} | {pairs} | {seconds:.3f} s |")
     print()
-    print(f"| start-up, median child CPU of {CLI_RUNS} interpreters | CPU | over the row above |")
-    print("|---|---|---|")
+    print(f"| start-up, median of {CLI_RUNS} interpreters | wall | child CPU "
+          "| CPU over the row above |")
+    print("|---|---|---|---|")
     previous = 0.0
-    for (label, _, _), cpu in zip(STARTUP, startup_cpu()):
-        print(f"| {label} | {cpu * 1000:.1f} ms | {(cpu - previous) * 1000:+.1f} ms |")
+    for (label, _, _), (wall, cpu) in zip(STARTUP, startup_seconds()):
+        print(f"| {label} | {wall * 1000:.1f} ms | {cpu * 1000:.1f} ms "
+              f"| {(cpu - previous) * 1000:+.1f} ms |")
         previous = cpu
     print()
     wall, cpu = cli_validate_seconds(8)

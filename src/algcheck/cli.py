@@ -2,20 +2,17 @@
 
 Exit codes: 0 all checks pass, 1 an axiom or hypothesis gate failed,
 2 parse/shape/usage error.
+
+The layers are the package's lazy modules (see `algcheck`), read here as
+`core.check_morphism` and so on when a command runs, so `import
+algcheck.cli` runs none of them and each command runs only those it uses.
 """
 
 import argparse
-import json
 import os
 import sys
 
-from . import constructions
-from .core import EvenLinearMap, _axioms, check_morphism
-from .document import AlgebraDocument, parse_document, parse_rational, serialize_document
-from .errors import AlgcheckError, DocumentError, HypothesisError
-from .grading import _parse_int, group_order_bound, validate_bicharacter, validate_multiplier
-from .operators import KINDS, OperatorClaim, check_operator
-from .report import AxiomReport, all_ok, render_reports
+from . import KINDS, constructions, core, document, errors, grading, operators, report
 
 EXIT_OK = 0
 EXIT_AXIOM = 1
@@ -27,8 +24,8 @@ def _load(path):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise DocumentError("io", str(exc), path) from exc
-    return parse_document(text)
+        raise errors.DocumentError("io", str(exc), path) from exc
+    return document.parse_document(text)
 
 
 def _emit(as_json, code=None, full=False, **payload):
@@ -38,25 +35,26 @@ def _emit(as_json, code=None, full=False, **payload):
     message) and "document", a plain JSON value."""
     reports = [r for v in payload.values() if isinstance(v, list) for r in v]
     if code is None:
-        code = EXIT_OK if all_ok(reports) else EXIT_AXIOM
+        code = EXIT_OK if report.all_ok(reports) else EXIT_AXIOM
     if as_json:
+        import json
         payload = {k: [r.to_json() for r in v] if isinstance(v, list) else v
                    for k, v in payload.items()}
         print(json.dumps(dict(payload, exit=code), sort_keys=True, indent=2))
         return code
     if "gate" in payload:
         print(f"GATE FAILED: {payload['gate']}")
-    for line in render_reports(reports, full=full):
+    for line in report.render_reports(reports, full=full):
         print(line)
     return code
 
 
 def _validation_reports(doc, commutative=False):
-    reports = validate_bicharacter(doc.algebra.epsilon)
+    reports = grading.validate_bicharacter(doc.algebra.epsilon)
     for name, table in sorted(doc.multipliers.items()):
-        reports += [AxiomReport(f"{name}:{r.axiom}", r.violations)
-                    for r in validate_multiplier(table)]
-    return reports + _axioms(doc.algebra, commutative)
+        reports += [report.AxiomReport(f"{name}:{r.axiom}", r.violations)
+                    for r in grading.validate_multiplier(table)]
+    return reports + core._axioms(doc.algebra, commutative)
 
 
 def cmd_validate(args):
@@ -68,9 +66,9 @@ def cmd_validate(args):
 def cmd_check_operator(args):
     doc = _load(args.path)
     operator = _named(doc.operators, "operator", args.name, args.path)
-    weight = parse_rational(args.weight, "--weight") if args.weight is not None else None
-    claim = OperatorClaim(operator, args.kind, power=args.power, weight=weight)
-    reports = check_operator(doc.algebra, claim, products=args.product)
+    weight = document.parse_rational(args.weight, "--weight") if args.weight is not None else None
+    claim = operators.OperatorClaim(operator, args.kind, power=args.power, weight=weight)
+    reports = operators.check_operator(doc.algebra, claim, products=args.product)
     return _emit(args.json, reports=reports)
 
 
@@ -85,15 +83,15 @@ def _named(entries, kind, name, location=None):
     name: a usage error when no name was given, unknown-`kind` when the
     document has no such entry."""
     if name is None:
-        raise DocumentError("usage", f"this construction needs --{kind}")
+        raise errors.DocumentError("usage", f"this construction needs --{kind}")
     if name not in entries:
-        raise DocumentError(f"unknown-{kind}", f"no {kind} named {name!r}", location)
+        raise errors.DocumentError(f"unknown-{kind}", f"no {kind} named {name!r}", location)
     return entries[name]
 
 
 def _operator(doc, args):
     if args.operator == "Id":
-        return EvenLinearMap.identity(doc.algebra.basis)
+        return core.EvenLinearMap.identity(doc.algebra.basis)
     return _named(doc.operators, "operator", args.operator)
 
 
@@ -105,19 +103,19 @@ def _endomorphisms(doc, args):
     """alpha and every named operator that is an endomorphism of the input."""
     alg = doc.algebra
     candidates = [alg.alpha] + [doc.operators[k] for k in sorted(doc.operators)]
-    return [f for f in candidates if all_ok(check_morphism(f, alg, alg))]
+    return [f for f in candidates if report.all_ok(core.check_morphism(f, alg, alg))]
 
 
 def _xi(doc, args):
     if args.xi is None:
-        raise DocumentError("usage", "xi construction needs --xi c0,c1,...")
-    return tuple(parse_rational(c.strip(), "--xi") for c in args.xi.split(","))
+        raise errors.DocumentError("usage", "xi construction needs --xi c0,c1,...")
+    return tuple(document.parse_rational(c.strip(), "--xi") for c in args.xi.split(","))
 
 
 def _weight(doc, args):
     if args.weight is None:
-        raise DocumentError("usage", "rota-baxter construction needs --weight")
-    return parse_rational(args.weight, "--weight")
+        raise errors.DocumentError("usage", "rota-baxter construction needs --weight")
+    return document.parse_rational(args.weight, "--weight")
 
 
 def _power(doc, args):
@@ -126,7 +124,7 @@ def _power(doc, args):
 
 def _second(doc, args):
     if args.second is None:
-        raise DocumentError("usage", "tensor construction needs --second FILE")
+        raise errors.DocumentError("usage", "tensor construction needs --second FILE")
     return _load(args.second).algebra
 
 
@@ -150,7 +148,8 @@ CONSTRUCTIONS = {
 
 def _run_construction(doc, args):
     if args.construction not in CONSTRUCTIONS:
-        raise DocumentError("unknown-construction", f"no construction named {args.construction!r}")
+        raise errors.DocumentError("unknown-construction",
+                                   f"no construction named {args.construction!r}")
     name, readers = CONSTRUCTIONS[args.construction]
     values = [read(doc, args) for read in readers]
     return getattr(constructions, name)(doc.algebra, *values)
@@ -166,19 +165,20 @@ def _write_result(doc, args, result):
         metadata["morphism"] = _summary(result.morphism)
     if result.findings:
         metadata["findings"] = _summary(result.findings)
-    out_doc = AlgebraDocument(
+    out_doc = document.AlgebraDocument(
         name=f"{doc.name}#{args.construction}" if doc.name else args.construction,
         algebra=result.algebra,
         metadata=metadata,
     )
-    text = serialize_document(out_doc)
+    text = document.serialize_document(out_doc)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise DocumentError("io", str(exc), args.output) from exc
+            raise errors.DocumentError("io", str(exc), args.output) from exc
     elif args.json:
+        import json
         return {"document": json.loads(text)}
     else:
         sys.stdout.write(text)
@@ -188,16 +188,16 @@ def _write_result(doc, args, result):
 def cmd_twist(args):
     doc = _load(args.path)
     result = _run_construction(doc, args)
-    document = _write_result(doc, args, result)
+    written = _write_result(doc, args, result)
     return _emit(args.json, code=EXIT_OK if result.ok else EXIT_AXIOM,
                  certification=result.certification, morphism=result.morphism,
-                 findings=result.findings, **document)
+                 findings=result.findings, **written)
 
 
 def _power_arg(text):
     """--power's value: ASCII digits after an optional sign, else a usage error."""
     try:
-        return _parse_int(text)
+        return grading._parse_int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -265,11 +265,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        group_order_bound()  # a bad ALGCHECK_GROUP_BOUND is named here, not blamed on a document
+        # a bad ALGCHECK_GROUP_BOUND is named here, not blamed on a document
+        grading.group_order_bound()
         return args.fn(args)
-    except HypothesisError as exc:
+    except errors.HypothesisError as exc:
         return _emit(args.json, code=EXIT_AXIOM, gate=str(exc), reports=exc.reports)
-    except AlgcheckError as exc:
+    except errors.AlgcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

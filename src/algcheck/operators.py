@@ -8,6 +8,7 @@ the algebra carries.  Every predicate is one `report._sweep`, through
 
 import itertools
 
+from . import KINDS
 from ._record import record
 from .core import (
     ONE,
@@ -25,8 +26,6 @@ from .core import (
 from .errors import InvalidRepresentationError, SearchSpaceError, ShapeError
 from .grading import _integers, _rational
 from .report import all_ok
-
-KINDS = ("centroid", "averaging", "rota-baxter", "nijenhuis")
 
 MAX_POWER = 4
 MAX_SEARCH_DIM = 6

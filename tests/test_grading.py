@@ -290,5 +290,6 @@ def test_scale_probe_runs_at_small_orders():
     assert [probe.grassmann_seconds(r)[1] for r in (1, 2, 3)] == [3, 9, 27]
     wall, cpu = probe.cli_validate_seconds(rank=4, runs=1)
     assert wall > 0 and cpu > 0
-    cpus = probe.startup_cpu(runs=1)
-    assert len(cpus) == len(probe.STARTUP) and all(cpu > 0 for cpu in cpus)
+    seconds = probe.startup_seconds(runs=1)
+    assert len(seconds) == len(probe.STARTUP)
+    assert all(wall > 0 and cpu > 0 for wall, cpu in seconds)
