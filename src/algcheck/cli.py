@@ -170,6 +170,8 @@ def _write_result(doc, args, result):
         algebra=result.algebra,
         metadata=metadata,
     )
+    if args.json and not args.output:
+        return {"document": document._raw(out_doc)}
     text = document.serialize_document(out_doc)
     if args.output:
         try:
@@ -177,9 +179,6 @@ def _write_result(doc, args, result):
                 fh.write(text)
         except OSError as exc:
             raise errors.DocumentError("io", str(exc), args.output) from exc
-    elif args.json:
-        import json
-        return {"document": json.loads(text)}
     else:
         sys.stdout.write(text)
     return {}

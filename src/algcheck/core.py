@@ -28,7 +28,7 @@ from .errors import (
     ShapeError,
     SingularMapError,
 )
-from .grading import _integers, _rational, _square
+from .grading import _integers, _is_int, _rational, _square
 from . import report
 
 ZERO = Fraction(0)
@@ -165,7 +165,7 @@ class BilinearProduct:
         merged = {}
         for (i, j, k, c) in self.entries:
             c = _rational(c, "structure constants")
-            if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j, k)):
+            if not all(map(_is_int, (i, j, k))):
                 raise ShapeError(f"structure constant indices must be integers: {(i, j, k)}")
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise ShapeError(f"structure constant index out of range: {(i, j, k)}")

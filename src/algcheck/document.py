@@ -17,12 +17,11 @@ from .errors import (
     DocumentError,
     EvennessError,
     InvalidRepresentationError,
-    ShapeError,
 )
-from .grading import GroupSpec, MultiplierTable, SignBicharacter
+from .grading import _INTEGER, GroupSpec, MultiplierTable, SignBicharacter, _is_int
 from .report import _text
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")  # ASCII digits only
+_RATIONAL = re.compile(_INTEGER.pattern + r"(?:/[0-9]+)?")  # ASCII digits only
 
 
 def parse_rational(value, location=None):
@@ -57,6 +56,7 @@ class AlgebraDocument:
 
 
 _REQUIRED = object()
+_PRODUCTS = ("mu", "bracket")
 _JSON_TYPES = {dict: "an object", list: "a list"}
 
 
@@ -74,8 +74,7 @@ def _need(obj, key, kind, location, default=_REQUIRED):
 
 
 def _ints(value, location):
-    if not (isinstance(value, list)
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in value)):
+    if not (isinstance(value, list) and all(map(_is_int, value))):
         raise DocumentError("shape", "must be a list of integers", location)
     return tuple(value)
 
@@ -92,20 +91,20 @@ def _rows(rows, location, noun="matrix"):
     return tuple(parsed)
 
 
-_EVEN = {EvennessError: "evenness", ShapeError: "shape"}
-
-
-def _located(location, codes, cls, *args):
-    """cls(*args), turning a library error listed in `codes` into a
-    DocumentError with that code at `location`."""
+def _located(location, cls, *args, invalid="shape"):
+    """cls(*args), turning a library error into a DocumentError at
+    `location`: code "evenness" for an EvennessError, `invalid` for an
+    InvalidRepresentationError and "shape" for any other."""
     try:
         return cls(*args)
-    except tuple(codes) as exc:
-        raise DocumentError(codes[type(exc)], str(exc), location) from exc
+    except AlgcheckError as exc:
+        code = ("evenness" if isinstance(exc, EvennessError)
+                else invalid if isinstance(exc, InvalidRepresentationError) else "shape")
+        raise DocumentError(code, str(exc), location) from exc
 
 
 def _matrix(basis, rows, location):
-    return _located(location, _EVEN, EvenLinearMap, basis, _rows(rows, location))
+    return _located(location, EvenLinearMap, basis, _rows(rows, location))
 
 
 def _product(basis, triples, location):
@@ -117,10 +116,10 @@ def _product(basis, triples, location):
         if not (isinstance(item, list) and len(item) == 4):
             raise DocumentError("shape", "entry must be [i, j, k, \"p/q\"]", loc)
         i, j, k, c = item
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j, k)):
+        if not all(map(_is_int, (i, j, k))):
             raise DocumentError("shape", "indices must be integers", loc)
         entries.append((i, j, k, parse_rational(c, loc)))
-    return _located(location, _EVEN, BilinearProduct, basis, tuple(entries))
+    return _located(location, BilinearProduct, basis, tuple(entries))
 
 
 def parse_document(text):
@@ -133,7 +132,7 @@ def parse_document(text):
 
     group_raw = _need(raw, "group", dict, "group")
     moduli = _ints(_need(group_raw, "moduli", list, "group"), "group.moduli")
-    group = _located("group.moduli", {InvalidRepresentationError: "shape"}, GroupSpec, moduli)
+    group = _located("group.moduli", GroupSpec, moduli)
 
     basis_raw = _need(raw, "basis", dict, "basis")
     degrees = _need(basis_raw, "degrees", list, "basis")
@@ -144,28 +143,21 @@ def parse_document(text):
                 f"degree {deg} is not canonical for moduli {list(group.moduli)}",
                 f"basis.degrees[{d}]",
             )
-    basis = _located("basis.degrees", {ShapeError: "shape"},
-                     GradedBasis, group, tuple(tuple(d) for d in degrees))
+    basis = _located("basis.degrees", GradedBasis, group, tuple(tuple(d) for d in degrees))
 
     eps_raw = _need(raw, "epsilon", dict, "epsilon")
     if "matrix" in eps_raw:
         rows = _need(eps_raw, "matrix", list, "epsilon")
         rows = tuple(_ints(r, f"epsilon.matrix[{i}]") for i, r in enumerate(rows))
-        epsilon = _located("epsilon", {ShapeError: "shape", InvalidRepresentationError: "shape"},
-                           SignBicharacter, group, rows)
+        epsilon = _located("epsilon", SignBicharacter, group, rows)
     elif "table" in eps_raw:
         epsilon = _table(group, eps_raw["table"], "epsilon.table")
     else:
         raise DocumentError("missing-field", "epsilon needs 'matrix' or 'table'", "epsilon")
 
-    mu = _product(basis, raw["mu"], "mu") if "mu" in raw else None
-    bracket = _product(basis, raw["bracket"], "bracket") if "bracket" in raw else None
+    mu, bracket = (_product(basis, raw[key], key) if key in raw else None for key in _PRODUCTS)
     alpha = _matrix(basis, _need(raw, "alpha", list, "alpha"), "alpha")
-
-    try:
-        algebra = GradedAlgebra(epsilon, basis, mu, bracket, alpha)
-    except AlgcheckError as exc:
-        raise DocumentError("shape", str(exc)) from exc
+    algebra = _located(None, GradedAlgebra, epsilon, basis, mu, bracket, alpha)
 
     operators = {}
     for name, rows in sorted(_need(raw, "operators", dict, "operators", {}).items()):
@@ -191,33 +183,35 @@ def parse_document(text):
 
 
 def _table(group, rows, location):
-    codes = {InvalidRepresentationError: "zero-entry", ShapeError: "shape"}
-    return _located(location, codes, MultiplierTable, group, _rows(rows, location, "table"))
+    return _located(location, MultiplierTable, group, _rows(rows, location, "table"),
+                    invalid="zero-entry")
 
 
-def serialize_document(doc):
-    alg = doc.algebra
+def _texts(rows):
+    """Rows of rationals as rows of their canonical strings."""
+    return [[format_rational(x) for x in row] for row in rows]
+
+
+def _raw(doc):
+    """The document as the JSON value that serialize_document writes."""
+    alg, eps = doc.algebra, doc.algebra.epsilon
     raw = {
         "name": doc.name,
         "group": {"moduli": list(alg.group.moduli)},
         "basis": {"degrees": [list(d) for d in alg.basis.degrees]},
-        "alpha": [[format_rational(x) for x in row] for row in alg.alpha.matrix],
-        "operators": {
-            name: [[format_rational(x) for x in row] for row in m.matrix]
-            for name, m in sorted(doc.operators.items())
-        },
-        "multipliers": {
-            name: [[format_rational(x) for x in row] for row in t.values]
-            for name, t in sorted(doc.multipliers.items())
-        },
+        "epsilon": ({"matrix": [list(row) for row in eps.matrix]}
+                    if isinstance(eps, SignBicharacter) else {"table": _texts(eps.values)}),
+        "alpha": _texts(alg.alpha.matrix),
+        "operators": {name: _texts(m.matrix) for name, m in sorted(doc.operators.items())},
+        "multipliers": {name: _texts(t.values) for name, t in sorted(doc.multipliers.items())},
         "metadata": dict(sorted(doc.metadata.items())),
     }
-    if isinstance(alg.epsilon, SignBicharacter):
-        raw["epsilon"] = {"matrix": [list(row) for row in alg.epsilon.matrix]}
-    else:
-        raw["epsilon"] = {"table": [[format_rational(x) for x in row] for row in alg.epsilon.values]}
-    if alg.mu is not None:
-        raw["mu"] = [[i, j, k, format_rational(c)] for (i, j, k, c) in alg.mu.entries]
-    if alg.bracket is not None:
-        raw["bracket"] = [[i, j, k, format_rational(c)] for (i, j, k, c) in alg.bracket.entries]
-    return json.dumps(raw, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    for key in _PRODUCTS:
+        p = getattr(alg, key)
+        if p is not None:
+            raw[key] = [[i, j, k, format_rational(c)] for (i, j, k, c) in p.entries]
+    return raw
+
+
+def serialize_document(doc):
+    return json.dumps(_raw(doc), sort_keys=True, indent=2, ensure_ascii=True) + "\n"

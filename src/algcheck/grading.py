@@ -40,10 +40,16 @@ DEFAULT_GROUP_BOUND = 256
 ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
 
+
+def _is_int(x):
+    """x is an int and not a bool: the one integer test of the package."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _integers(values, what):
     """values as a tuple; every value must be an int, and not a bool."""
     values = tuple(values)
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+    if not all(map(_is_int, values)):
         raise InvalidRepresentationError(f"{what} must be integers, got {values}")
     return values
 
@@ -52,7 +58,7 @@ def _rational(x, what):
     """x as a Fraction; x must be an int, and not a bool, or a Fraction."""
     if type(x) is Fraction:
         return x  # immutable: no copy needed
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+    if not (_is_int(x) or isinstance(x, Fraction)):
         raise InvalidRepresentationError(f"{what} must be integers or Fractions, got {x!r}")
     return Fraction(x)
 
@@ -120,9 +126,7 @@ class GroupSpec:
     def is_canonical(self, coords):
         """coords has one int (not a bool) per factor, in [0, m_i)."""
         return len(coords) == self.rank and all(
-            isinstance(c, int) and not isinstance(c, bool) and 0 <= c < m
-            for c, m in zip(coords, self.moduli)
-        )
+            _is_int(c) and 0 <= c < m for c, m in zip(coords, self.moduli))
 
     def add(self, a, b):
         if len(a) != self.rank or len(b) != self.rank:
@@ -238,9 +242,11 @@ class MultiplierTable:
 
 
 def _cleared(table):
-    """D, the lcm of the table's denominators, and the rows of D * table as ints."""
+    """D, the lcm of the table's denominators, and the rows and the columns
+    of D * table as lists of ints."""
     d = math.lcm(*(x.denominator for row in table for x in row))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in table]
+    rows = [[x.numerator * (d // x.denominator) for x in row] for row in table]
+    return d, rows, [list(col) for col in zip(*rows)]
 
 
 def _recorded(els, scale):
@@ -286,8 +292,7 @@ def validate_bicharacter(e):
     g = e.group
     els, val = g._els, e.values
     n = g.order
-    d, ints = _cleared(val)
-    cols = [list(col) for col in zip(*ints)]
+    d, ints, cols = _cleared(val)
     square = [d * d] * n
     skew = _sweep("bicharacter:skew-symmetry", n, 2,
                   lambda a: ([x * y for x, y in zip(ints[a], cols[a])], square),
@@ -327,7 +332,7 @@ def validate_multiplier(s, symmetric=False):
     g = s.group
     els, sums = g._els, g._sums
     n = g.order
-    d, ints = _cleared(s.values)
+    d, ints, cols = _cleared(s.values)
 
     def after(x, y):
         # s(x, y + z) s(y, z) over z
@@ -340,7 +345,6 @@ def validate_multiplier(s, symmetric=False):
         _recorded(els, d * d))
     reports = [cocycle]
     if symmetric:
-        cols = [list(col) for col in zip(*ints)]
         sym = _sweep("multiplier:symmetry", n, 2, lambda x: (ints[x], cols[x]), _recorded(els, d))
 
         def cyclic(x, y):

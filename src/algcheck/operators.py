@@ -47,11 +47,9 @@ class OperatorClaim:
             object.__setattr__(self, "weight", _rational(self.weight, "weight"))
         elif self.kind == "rota-baxter":
             raise InvalidRepresentationError("rota-baxter claims need a weight")
-        if self.kind in ("centroid", "averaging"):
-            if not (0 <= self.power <= MAX_POWER):
-                raise InvalidRepresentationError(
-                    f"power must lie in [0, {MAX_POWER}], got {self.power}"
-                )
+        if not (0 <= self.power <= MAX_POWER):
+            raise InvalidRepresentationError(
+                f"power must lie in [0, {MAX_POWER}], got {self.power}")
 
 
 def _deformed(p, claim, i, j):

@@ -29,14 +29,11 @@ class AxiomReport:
     def render(self, full=False):
         if self.ok:
             return [f"PASS {self.axiom}"]
-        head = self.violations[0]
-        lines = [
-            f"FAIL {self.axiom}: {len(self.violations)} violation(s); "
-            f"first at {head.indices}: lhs={_fmt(head.lhs)}, rhs={_fmt(head.rhs)}"
-        ]
+        texts = [f"{v.indices}: lhs={_fmt(v.lhs)}, rhs={_fmt(v.rhs)}"
+                 for v in (self.violations if full else self.violations[:1])]
+        lines = [f"FAIL {self.axiom}: {len(self.violations)} violation(s); first at {texts[0]}"]
         if full:
-            for v in self.violations:
-                lines.append(f"  {self.axiom} {v.indices}: lhs={_fmt(v.lhs)}, rhs={_fmt(v.rhs)}")
+            lines += [f"  {self.axiom} {t}" for t in texts]
         return lines
 
     def to_json(self):

@@ -31,18 +31,33 @@ def load_fixture(name):
     return parse_document((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
 
 
-# valid JSON with a wrongly typed field: (path into rb2dim.json, value)
+# valid JSON with a wrongly typed field: (path into rb2dim.json, value, and
+# the location and the text of the parse error)
 WRONG_TYPED_FIELDS = [
-    pytest.param(("group",), 5, id="group-int"),
-    pytest.param(("basis", "degrees"), 5, id="degrees-int"),
-    pytest.param(("epsilon",), 5, id="epsilon-int"),
-    pytest.param(("operators",), [1], id="operators-list"),
-    pytest.param(("group", "moduli"), ["x"], id="moduli-str"),
-    pytest.param(("group", "moduli"), [2.5], id="moduli-float"),
-    pytest.param(("group", "moduli"), [True], id="moduli-bool"),
-    pytest.param(("name",), None, id="name-null"),
-    pytest.param(("name",), 7, id="name-int"),
-    pytest.param(("name",), ["x"], id="name-list"),
+    pytest.param(("group",), 5, "group", "shape at group: field 'group' must be an object",
+                 id="group-int"),
+    pytest.param(("basis", "degrees"), 5, "basis",
+                 "shape at basis: field 'degrees' must be a list", id="degrees-int"),
+    pytest.param(("epsilon",), 5, "epsilon",
+                 "shape at epsilon: field 'epsilon' must be an object", id="epsilon-int"),
+    pytest.param(("operators",), [1], "operators",
+                 "shape at operators: field 'operators' must be an object", id="operators-list"),
+    pytest.param(("group", "moduli"), ["x"], "group.moduli",
+                 "shape at group.moduli: must be a list of integers", id="moduli-str"),
+    pytest.param(("group", "moduli"), [2.5], "group.moduli",
+                 "shape at group.moduli: must be a list of integers", id="moduli-float"),
+    pytest.param(("group", "moduli"), [True], "group.moduli",
+                 "shape at group.moduli: must be a list of integers", id="moduli-bool"),
+    pytest.param(("basis", "degrees", 0), [True], "basis.degrees[0]",
+                 "shape at basis.degrees[0]: must be a list of integers", id="degree-bool"),
+    pytest.param(("mu", 0, 0), True, "mu[0]", "shape at mu[0]: indices must be integers",
+                 id="mu-index-bool"),
+    pytest.param(("name",), None, "name", "shape at name: field 'name' must be a string",
+                 id="name-null"),
+    pytest.param(("name",), 7, "name", "shape at name: field 'name' must be a string",
+                 id="name-int"),
+    pytest.param(("name",), ["x"], "name", "shape at name: field 'name' must be a string",
+                 id="name-list"),
 ]
 
 

@@ -18,7 +18,7 @@ from algcheck import (
 from algcheck.cli import main
 from algcheck.operators import KINDS
 
-from conftest import FIXTURES, WRONG_TYPED_FIELDS, rb2dim_with
+from conftest import FIXTURES, WRONG_TYPED_FIELDS, line_over, rb2dim_with
 
 ALL_FIXTURES = sorted(p.stem for p in FIXTURES.glob("*.json"))
 
@@ -61,78 +61,94 @@ class TestParseErrors:
     def _base(self):
         return json.loads((FIXTURES / "rb2dim.json").read_text(encoding="utf-8"))
 
-    def _expect(self, raw, code, location=None):
+    def _expect(self, raw, code, location, text):
+        """parse_document refuses raw (a JSON value, or text that is not
+        JSON) with this code and location, and str() of the error is text."""
         with pytest.raises(DocumentError) as exc:
-            parse_document(json.dumps(raw))
-        assert exc.value.code == code
-        if location is not None:
-            assert exc.value.location == location
-        return exc.value
+            parse_document(raw if isinstance(raw, str) else json.dumps(raw))
+        assert (exc.value.code, exc.value.location, str(exc.value)) == (code, location, text)
 
     def test_malformed_json(self):
-        with pytest.raises(DocumentError) as exc:
-            parse_document("{not json")
-        assert exc.value.code == "malformed-json"
+        self._expect("{not json", "malformed-json", None, "malformed-json: Expecting property "
+                     "name enclosed in double quotes: line 1 column 2 (char 1)")
 
     def test_non_object(self):
-        with pytest.raises(DocumentError) as exc:
-            parse_document("[1, 2]")
-        assert exc.value.code == "malformed-json"
+        self._expect([1, 2], "malformed-json", None,
+                     "malformed-json: document must be a JSON object")
 
     def test_missing_group(self):
         raw = self._base()
         del raw["group"]
-        self._expect(raw, "missing-field", "group")
+        self._expect(raw, "missing-field", "group",
+                     "missing-field at group: required field 'group' missing")
 
     def test_missing_alpha(self):
         raw = self._base()
         del raw["alpha"]
-        self._expect(raw, "missing-field", "alpha")
+        self._expect(raw, "missing-field", "alpha",
+                     "missing-field at alpha: required field 'alpha' missing")
 
     def test_degree_out_of_range(self):
         raw = self._base()
         raw["basis"]["degrees"][1] = [2]
-        self._expect(raw, "degree-out-of-range", "basis.degrees[1]")
+        self._expect(raw, "degree-out-of-range", "basis.degrees[1]",
+                     "degree-out-of-range at basis.degrees[1]: "
+                     "degree [2] is not canonical for moduli [2]")
+
+    def test_group_over_the_bound(self, monkeypatch):
+        monkeypatch.setenv("ALGCHECK_GROUP_BOUND", "1")
+        self._expect(self._base(), "shape", "group.moduli",
+                     "shape at group.moduli: group order 2 exceeds bound 1")
+
+    def test_sign_matrix_at_odd_modulus(self):
+        self._expect(line_over([3], {"matrix": [[1]]}), "shape", "epsilon",
+                     "shape at epsilon: exponent matrix rows/columns at odd moduli "
+                     "must vanish mod 2")
 
     def test_odd_structure_constant(self):
         raw = self._base()
         raw["mu"][0] = [0, 0, 1, "1"]  # degree 0 pair landing in degree 1
-        self._expect(raw, "evenness", "mu")
+        self._expect(raw, "evenness", "mu",
+                     "evenness at mu: constant (0,0)->1 violates the grading: (0,) + (0,) != (1,)")
 
     def test_bad_rational_located(self):
         raw = self._base()
         raw["mu"][0][3] = "0.5"
-        err = self._expect(raw, "bad-rational")
-        assert err.location == "mu[0]"
+        self._expect(raw, "bad-rational", "mu[0]",
+                     "bad-rational at mu[0]: not an exact rational: '0.5'")
 
     def test_non_even_operator(self):
         raw = self._base()
         raw["operators"]["bad"] = [["0", "1"], ["1", "0"]]
-        self._expect(raw, "evenness", "operators.bad")
+        self._expect(raw, "evenness", "operators.bad",
+                     "evenness at operators.bad: entry (0,1) links degree (1,) to (0,)")
 
     def test_zero_multiplier_entry(self):
         raw = self._base()
         raw["multipliers"] = {"s": [["1", "0"], ["1", "1"]]}
-        self._expect(raw, "zero-entry", "multipliers.s")
+        self._expect(raw, "zero-entry", "multipliers.s",
+                     "zero-entry at multipliers.s: multiplier entries must be nonzero")
 
     def test_metadata_must_be_strings(self):
         raw = self._base()
         raw["metadata"] = {"lambda": 0.5}
-        self._expect(raw, "shape", "metadata")
+        self._expect(raw, "shape", "metadata",
+                     "shape at metadata: metadata must map strings to strings")
 
     def test_epsilon_needs_matrix_or_table(self):
         raw = self._base()
         raw["epsilon"] = {}
-        self._expect(raw, "missing-field", "epsilon")
+        self._expect(raw, "missing-field", "epsilon",
+                     "missing-field at epsilon: epsilon needs 'matrix' or 'table'")
 
-    @pytest.mark.parametrize("path,value", WRONG_TYPED_FIELDS)
-    def test_wrongly_typed_field(self, path, value):
-        self._expect(rb2dim_with(path, value), "shape")
+    @pytest.mark.parametrize("path,value,location,text", WRONG_TYPED_FIELDS)
+    def test_wrongly_typed_field(self, path, value, location, text):
+        self._expect(rb2dim_with(path, value), "shape", location, text)
 
     def test_indices_must_be_ints(self):
         raw = self._base()
         raw["mu"][0][0] = "0"
-        self._expect(raw, "shape", "mu[0]")
+        self._expect(raw, "shape", "mu[0]", "shape at mu[0]: indices must be integers")
 
 
 class TestOptionalSections:
@@ -147,7 +163,9 @@ class TestOptionalSections:
         del raw["mu"]
         with pytest.raises(DocumentError) as exc:
             parse_document(json.dumps(raw))
-        assert exc.value.code == "shape"
+        # raised by GradedAlgebra, which no field of the document locates
+        assert (exc.value.code, exc.value.location, str(exc.value)) == (
+            "shape", None, "shape: algebra must carry at least one product")
 
     def test_table_epsilon_roundtrip(self, tmp_path):
         raw = json.loads((FIXTURES / "rb2dim.json").read_text(encoding="utf-8"))

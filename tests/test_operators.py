@@ -49,6 +49,11 @@ class TestClaimValidation:
             OperatorClaim(m, "averaging", power=5)
         with pytest.raises(InvalidRepresentationError):
             OperatorClaim(m, "centroid", power=-1)
+        # the bound holds for every kind, though only centroid and averaging read alpha^k
+        with pytest.raises(InvalidRepresentationError, match=r"power must lie in \[0, 4\], got 5"):
+            OperatorClaim(m, "rota-baxter", power=5, weight=1)
+        with pytest.raises(InvalidRepresentationError, match=r"power must lie in \[0, 4\], got -5"):
+            OperatorClaim(m, "nijenhuis", power=-5)
 
     @pytest.mark.parametrize("kind, weight", [("centroid", None), ("averaging", None),
                                               ("rota-baxter", 1), ("nijenhuis", None)])
