@@ -13,10 +13,12 @@ on the table delta of the multiplier (-1)^(x_0 y_1) 2/3, all in process.
 For each dimension in DIMS it prints the seconds `check_hom_poisson` takes
 on the eps-commutator of the group algebra K[Z_2^r], and the seconds
 `check_operator` takes on 2 id for every operator kind (Rota-Baxter at
-weight -2), also in process.  For each rank r in GRASSMANN_RANKS it
-prints the seconds `check_hom_associative` takes on the Grassmann algebra
-of K^r, a sparse algebra (3^r of its 4^r basis pairs have a nonzero
-product), and that count of pairs.  It then prints the end-to-end seconds of
+weight -2), also in process; these are dense rows (every basis pair has
+a nonzero product in mu), the largest of them dim 64.  For each rank r in GRASSMANN_RANKS it prints the
+seconds `check_hom_associative` takes on the Grassmann algebra of K^r, a
+sparse algebra (3^r of its 4^r basis pairs have a nonzero product), and
+that count of pairs; r = 8 is dim 256, over a group of order 256, the
+default group bound.  It then prints the end-to-end seconds of
 `algcheck validate` on a dim-1 document with a sign bicharacter over
 Z_2^8, run in a fresh interpreter the way the console script runs it:
 the median over CLI_RUNS interpreters of the wall time and of the child's
@@ -67,8 +69,8 @@ from algcheck import (  # noqa: E402
 from algcheck.operators import KINDS  # noqa: E402
 
 ORDERS = (16, 32, 64, 256)
-DIMS = (8, 16, 32)
-GRASSMANN_RANKS = (5, 6)
+DIMS = (8, 16, 32, 64)
+GRASSMANN_RANKS = (5, 6, 7, 8)
 CLI_RUNS = 11
 ENTRY = "from algcheck.cli import entry; entry()"
 # start-up rows: (label, `python -c` code, whether it validates

@@ -119,7 +119,7 @@ def _weight(doc, args):
 
 
 def _power(doc, args):
-    return args.power
+    return args.power or 0
 
 
 def _second(doc, args):
@@ -130,7 +130,8 @@ def _second(doc, args):
 
 # construction name -> (function in algcheck.constructions, readers of the
 # arguments after the input algebra).  The function is looked up by name at
-# call time, so a wrapper installed on the module is the one that runs.
+# call time, so a wrapper installed on the module is the one that runs.  The
+# reader _x reads the option --x, and twist accepts no other such option.
 CONSTRUCTIONS = {
     "xi": ("xi_twist", (_xi,)),
     "multiplier-sym": ("multiplier_twist_symmetric", (_multiplier,)),
@@ -146,13 +147,17 @@ CONSTRUCTIONS = {
 }
 
 
-def _run_construction(doc, args):
+def _construction(args):
+    """The construction's entry in CONSTRUCTIONS, once no option it does not read is given."""
     if args.construction not in CONSTRUCTIONS:
         raise errors.DocumentError("unknown-construction",
                                    f"no construction named {args.construction!r}")
     name, readers = CONSTRUCTIONS[args.construction]
-    values = [read(doc, args) for read in readers]
-    return getattr(constructions, name)(doc.algebra, *values)
+    given = sorted({f"--{r.__name__[1:]}" for _, rs in CONSTRUCTIONS.values() for r in rs
+                    if r not in readers and getattr(args, r.__name__[1:], None) is not None})
+    if given:
+        raise errors.DocumentError("usage", f"{args.construction} does not read {', '.join(given)}")
+    return name, readers
 
 
 def _write_result(doc, args, result):
@@ -185,8 +190,9 @@ def _write_result(doc, args, result):
 
 
 def cmd_twist(args):
+    name, readers = _construction(args)
     doc = _load(args.path)
-    result = _run_construction(doc, args)
+    result = getattr(constructions, name)(doc.algebra, *[read(doc, args) for read in readers])
     written = _write_result(doc, args, result)
     return _emit(args.json, code=EXIT_OK if result.ok else EXIT_AXIOM,
                  certification=result.certification, morphism=result.morphism,
@@ -243,7 +249,7 @@ def build_parser():
     p.add_argument("--operator")
     p.add_argument("--multiplier")
     p.add_argument("--weight")
-    p.add_argument("--power", type=_power_arg, default=0)
+    p.add_argument("--power", type=_power_arg)
     p.add_argument("--xi")
     p.add_argument("--second", help="second input file (tensor construction)")
     p.add_argument("-o", "--output")

@@ -3,16 +3,21 @@
 Bases carry one group degree per index, linear maps are required to be
 even (degree preserving), and bilinear products are sparse structure
 constant tables whose nonzero constants respect the grading.  The
-checkers sweep every basis pair/triple; an empty report certifies the
-identity on the whole algebra by multilinearity.
+checkers certify their laws on every basis index, pair or triple, hence
+on the whole algebra by multilinearity.
 
-The sweeps run on sparse vectors, {index: Fraction} dicts with zeros
-dropped: a product visits only the nonzero x_i and, in the product's row
-index for i, only the nonzero y_j; a map reads its sparse columns.  Each
-checker is one `report._sweep` call, through `_sweep`, over every basis
-tuple; only a recorded violation is expanded into dense tuples of
-Fraction.  The public `apply`, `of_pair` and `column` work on dense
-tuples; the test suite's dense reference is written with them alone.
+The map and pair laws are each one `report._sweep` call, through `_sweep`,
+on sparse vectors ({index: Fraction} dicts with zeros dropped; a product
+visits only the nonzero x_i and, in its row index for i, the nonzero y_j).
+The trilinear laws are sparse joins on the ints of D * constants (D the
+lcm of their denominators, indexed once per object by `_ints`): each is a
+weighted sum of outer(p, q)(x, y, w) = p(alpha e_x, q(e_y, e_w)) and
+inner(p, q)(x, y, w) = p(q(e_x, e_y), alpha e_w), read with the first index
+fixed by walking only nonzero alpha entries and constants.  A triple that
+no walk reaches is zero on both sides, so a PASS still certifies every
+basis triple.  Only a violation is expanded into dense tuples of Fraction.
+The public `apply`, `of_pair` and `column` work on dense tuples; the test
+suite's dense reference is written with them.
 """
 
 import itertools
@@ -28,7 +33,7 @@ from .errors import (
     ShapeError,
     SingularMapError,
 )
-from .grading import _integers, _is_int, _rational, _square
+from .grading import _cleared, _integers, _is_int, _rational, _square
 from . import report
 
 ZERO = Fraction(0)
@@ -83,6 +88,12 @@ class EvenLinearMap:
         """Column j as {i: c}, nonzero entries only."""
         rows = self.matrix
         return tuple({i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows)))
+
+    @cached_property
+    def _ints(self):
+        """(D, columns j -> {i: c}, rows i -> {j: c}), nonzero entries of D * self as ints."""
+        d, rows, cols = _cleared(self.matrix)
+        return d, *([{k: c for k, c in enumerate(line) if c} for line in lines] for lines in (cols, rows))
 
     @classmethod
     def identity(cls, basis):
@@ -191,6 +202,18 @@ class BilinearProduct:
             rows.setdefault(i, {}).setdefault(j, {})[k] = c
         return rows
 
+    @cached_property
+    def _ints(self):
+        """(D, rows i -> {j: {k: c}}, columns j -> {i: {k: c}}, outputs k ->
+        [(i, j, c)]), the constants c of D * self as ints, in entry order."""
+        d, (ints,), _ = _cleared([[c for *_, c in self.entries]])
+        rows, cols, outputs = {}, {}, {}
+        for (i, j, k, _), c in zip(self.entries, ints):
+            rows.setdefault(i, {}).setdefault(j, {})[k] = c
+            cols.setdefault(j, {}).setdefault(i, {})[k] = c
+            outputs.setdefault(k, []).append((i, j, c))
+        return d, rows, cols, outputs
+
     def of_pair(self, i, j):
         return _dense(_pair(self, i, j), self.basis.dim)
 
@@ -250,6 +273,11 @@ class GradedAlgebra:
         degs, value = self.basis.degrees, self.epsilon.value
         return tuple(tuple(value(a, b) for b in degs) for a in degs)
 
+    @cached_property
+    def _ints(self):
+        """_cleared(eps): D, and the rows and the columns of D * eps as ints."""
+        return _cleared(self.eps)
+
     def replace(self, **kw):
         return replace(self, **kw)
 
@@ -307,7 +335,65 @@ def _tabulated(basis, product):
 
 
 # ---------------------------------------------------------------------------
-# per-basis-tuple residuals (structure-constant composition path)
+# trilinear laws as sparse joins on cleared ints (see the module docstring)
+
+def _walk(block, P, Q, al, slot, i, weights, swap=False):
+    """Add outer(p, q) with index `slot` (0 or 1) fixed at i to block, keyed
+    by the other two indices (swapped with `swap`), each term times
+    weights[w] at slot 0 and weights[o][x] at slot 1.  P, Q and al are the
+    `_ints` of p, q and alpha; a reversed P or Q indexes the opposite product."""
+    if slot == 0:  # alpha's column i, p's row a, q's pairs (y, w) with an e_m term
+        steps = (((y, w), f * c * weights[w], pz) for a, f in al[1][i].items()
+                 for m, pz in P[1].get(a, _EMPTY).items() for y, w, c in Q[3].get(m, ()))
+    else:  # q's row i at o, p's column m, alpha's row a at x
+        steps = (((o, x) if swap else (x, o), f * c * weights[o][x], pz)
+                 for o, qm in Q[1].get(i, _EMPTY).items() for m, c in qm.items()
+                 for a, pz in P[2].get(m, _EMPTY).items() for x, f in al[2][a].items())
+    for key, f, terms in steps:
+        acc = block.setdefault(key, {})
+        for z, c in terms.items():
+            acc[z] = acc.get(z, 0) + f * c
+
+
+def _sides(A, label, i):
+    """(scale, lhs, rhs): a trilinear law's scale and its blocks at first
+    index i.  With T = outer([,], [,]) and eps cleared over D, the laws are
+      Hom-associativity  outer(mu, mu)(i, j, k) = inner(mu, mu)(i, j, k),
+      Hom-Leibniz  D outer([,], mu)(i, j, k)
+                       = D inner(mu, [,])(i, j, k) + eps(i, j) outer(mu, [,])(j, i, k),
+      Hom-Jacobi  eps(k, i) T(i, j, k) + eps(j, k) T(k, i, j) + eps(i, j) T(j, k, i) = 0."""
+    n, al, mu, br = A.dim, A.alpha._ints, A.mu and A.mu._ints, A.bracket and A.bracket._ints
+    d, eps, cols = (1, None, None) if label == "hom-associativity" else A._ints
+    p, q = (mu, mu) if label == "hom-associativity" else (br, br if label == "hom-jacobi" else mu)
+    lhs, rhs = {}, {}
+    if label == "hom-jacobi":
+        _walk(lhs, br, br, al, 0, i, cols[i])
+        _walk(lhs, br, br, al, 1, i, eps, True)
+        _walk(lhs, br, br[::-1], al, 1, i, [eps[i]] * n)
+    else:  # outer(p, mu) = inner(mu, p), plus the twisted term for p = [,]
+        _walk(lhs, p, mu, al, 0, i, [d] * n)
+        _walk(rhs, mu[::-1], p, al, 1, i, [[d] * n] * n, True)
+        if label == "hom-leibniz":
+            _walk(rhs, mu, br, al, 1, i, [eps[i]] * n)
+    return d * p[0] * q[0] * al[0], lhs, rhs
+
+
+def _trilinear(label, A):
+    """The report for a trilinear law.  A tuple that no walk reaches is zero
+    on both sides, and a violation records each side over the law's scale."""
+    n, violations = A.dim, []
+    for i in range(n):
+        scale, lhs, rhs = _sides(A, label, i)
+        for key in sorted(lhs.keys() | rhs.keys()):
+            u, v = lhs.get(key, _EMPTY), rhs.get(key, _EMPTY)
+            if u != v and any(u.get(z, 0) != v.get(z, 0) for z in u.keys() | v.keys()):
+                violations.append(report.Violation((i, *key), *(
+                    tuple(Fraction(s[z], scale) if s.get(z) else ZERO for z in range(n)) for s in (u, v))))
+    return report.AxiomReport(label, violations)
+
+
+# ---------------------------------------------------------------------------
+# checkers
 
 def _require(A, *names):
     for name in names:
@@ -321,34 +407,6 @@ def _gate(reports, message):
     if bad:
         raise HypothesisError(message, bad)
 
-
-def _assoc_residual(A, i, j, k):
-    a, mu = A.alpha._columns, A.mu
-    return _product(mu, a[i], _pair(mu, j, k)), _product(mu, _pair(mu, i, j), a[k])
-
-
-def _jacobi_residual(A, i, j, k):
-    a, eps, br = A.alpha._columns, A.eps, A.bracket
-    lhs = _combined(
-        (eps[k][i], _product(br, a[i], _pair(br, j, k))),
-        (eps[i][j], _product(br, a[j], _pair(br, k, i))),
-        (eps[j][k], _product(br, a[k], _pair(br, i, j))),
-    )
-    return lhs, {}
-
-
-def _leibniz_residual(A, i, j, k):
-    a, eps, mu, br = A.alpha._columns, A.eps, A.mu, A.bracket
-    lhs = _product(br, a[i], _pair(mu, j, k))
-    rhs = _combined(
-        (ONE, _product(mu, _pair(br, i, j), a[k])),
-        (eps[i][j], _product(mu, a[j], _pair(br, i, k))),
-    )
-    return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# checkers
 
 def _sweep(label, n, arity, residual):
     """One report for `label` over every basis tuple of the given arity;
@@ -367,7 +425,7 @@ def _intertwines(label, f, src_alpha, dst_alpha):
 
 def check_hom_associative(A):
     _require(A, "mu")
-    return _sweep("hom-associativity", A.dim, 3, partial(_assoc_residual, A))
+    return _trilinear("hom-associativity", A)
 
 
 def _commutes(label, A, p, sign):
@@ -385,12 +443,12 @@ def check_epsilon_commutative(A):
 def check_hom_lie(A):
     _require(A, "bracket")
     return [_commutes("epsilon-skew-symmetry", A, A.bracket, -1),
-            _sweep("hom-jacobi", A.dim, 3, partial(_jacobi_residual, A))]
+            _trilinear("hom-jacobi", A)]
 
 
 def check_hom_leibniz(A):
     _require(A, "mu", "bracket")
-    return _sweep("hom-leibniz", A.dim, 3, partial(_leibniz_residual, A))
+    return _trilinear("hom-leibniz", A)
 
 
 def _axioms(A, commutative=False):

@@ -1,4 +1,5 @@
-"""Violation records, and `_sweep`, the one loop that checks a law on tuples.
+"""Violation records, and `_sweep`, the loop that checks the map, pair and
+group laws on index tuples (the trilinear laws are `core`'s sparse joins).
 
 A report is empty exactly when the checked identity holds on every basis
 tuple, which by multilinearity certifies it on the whole algebra.

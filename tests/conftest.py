@@ -15,14 +15,7 @@ from algcheck import (
     SignBicharacter,
     parse_document,
 )
-from algcheck.core import (
-    ONE,
-    ZERO,
-    _assoc_residual,
-    _dense,
-    _jacobi_residual,
-    _leibniz_residual,
-)
+from algcheck.core import ZERO, _sides
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -231,30 +224,26 @@ def residual_direct(A, axiom, vectors):
     return vec_sub(*AXIOMS[axiom](A, *vectors))
 
 
-# The kernel side: the trilinear combination of core's per-basis-tuple
-# residuals.  It must agree with residual_direct everywhere.
-_RESIDUALS = {
-    "associativity": (_assoc_residual, 3),
-    "jacobi": (_jacobi_residual, 3),
-    "leibniz": (_leibniz_residual, 3),
-}
+# The kernel side: the trilinear combination of the per-tuple residuals that
+# core's join blocks hold.  It must agree with residual_direct everywhere.
+_LAWS = {"associativity": "hom-associativity", "jacobi": "hom-jacobi", "leibniz": "hom-leibniz"}
 
 
 def residual_from_basis(A, axiom, vectors):
-    fn, arity = _RESIDUALS[axiom]
-    if len(vectors) != arity:
-        raise ShapeError(f"{axiom} takes {arity} vectors")
+    if len(vectors) != 3:
+        raise ShapeError(f"{axiom} takes 3 vectors")
+    x, y, z = vectors
     n = A.dim
     out = [ZERO] * n
-    for idx in itertools.product(range(n), repeat=arity):
-        coeff = ONE
-        for v, i in zip(vectors, idx):
-            coeff *= v[i]
-        if coeff == 0:
-            continue
-        lhs, rhs = (_dense(v, n) for v in fn(A, *idx))
-        for k in range(n):
-            out[k] += coeff * (lhs[k] - rhs[k])
+    for i in range(n):
+        scale, lhs, rhs = _sides(A, _LAWS[axiom], i)
+        for j, k in itertools.product(range(n), repeat=2):
+            coeff = x[i] * y[j] * z[k]
+            if coeff == 0:
+                continue
+            l, r = lhs.get((j, k), {}), rhs.get((j, k), {})
+            for m in range(n):
+                out[m] += coeff * F(l.get(m, 0) - r.get(m, 0), scale)
     return tuple(out)
 
 

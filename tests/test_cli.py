@@ -6,13 +6,24 @@ import sys
 import pytest
 
 from algcheck import parse_document
-from algcheck.cli import main
+from algcheck.cli import CONSTRUCTIONS, main
 
 from conftest import FIXTURES, NON_BICHARACTER, WRONG_TYPED_FIELDS, line_over, rb2dim_with
 
 
 def fx(name):
     return str(FIXTURES / f"{name}.json")
+
+
+# the options each twist construction reads, and a value for each option
+READS = {
+    "xi": {"xi"}, "multiplier-sym": {"multiplier"}, "multiplier-delta": {"multiplier"},
+    "transport": {"operator"}, "centroid": {"operator"}, "averaging-pair": {"operator"},
+    "averaging-untwisted": {"operator"}, "averaging-power": {"operator", "power"},
+    "nijenhuis": {"operator"}, "rota-baxter": {"operator", "weight"}, "tensor": {"second"},
+}
+OPTION_VALUES = {"operator": "R", "multiplier": "sigma", "weight": "1", "power": "1", "xi": "1,0",
+                 "second": "other.json"}
 
 
 def written(tmp_path, raw):
@@ -243,7 +254,10 @@ class TestTwist:
           "--operator", "beta2", "--power", "1"], None),
         (["twist", fx("comm2"), "--construction", "tensor", "--second", fx("example3_corrected")],
          ["tensor", fx("comm2"), fx("example3_corrected")]),
-    ], ids=["transport", "averaging-power", "tensor"])
+        (["twist", fx("group_algebra_z2"), "--construction", "averaging-power", "--operator", "beta2"],
+         ["twist", fx("group_algebra_z2"), "--construction", "averaging-power",
+          "--operator", "beta2", "--power", "0"]),
+    ], ids=["transport", "averaging-power", "tensor", "averaging-power-default"])
     def test_document_on_stdout_or_output_file(self, tmp_path, capsys, argv, same_as):
         # without -o the document goes to stdout ahead of the report lines;
         # `same_as`, when given, writes the same document with -o
@@ -256,6 +270,35 @@ class TestTwist:
             other = tmp_path / "other.json"
             assert main(same_as + ["-o", str(other)]) == 0
             assert other.read_bytes() == out.read_bytes()
+
+
+    @pytest.mark.parametrize("construction, option", [
+        (c, o) for c, reads in READS.items() for o in OPTION_VALUES if o not in reads])
+    def test_unread_option_is_a_usage_error(self, capsys, construction, option):
+        # refused before the document loads: the path does not exist
+        argv = ["twist", "no-such-file.json", "--construction", construction,
+                f"--{option}", OPTION_VALUES[option]]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: usage: {construction} does not read --{option}\n")
+
+    @pytest.mark.parametrize("construction", sorted(READS))
+    def test_read_options_are_accepted(self, capsys, construction):
+        argv = ["twist", "no-such-file.json", "--construction", construction]
+        for option in sorted(READS[construction]):
+            argv += [f"--{option}", OPTION_VALUES[option]]
+        assert main(argv + ["-o", "unused.json", "--json"]) == 2
+        assert capsys.readouterr().err.startswith("error: io at no-such-file.json: ")
+
+    def test_every_construction_has_its_options_listed(self):
+        assert set(READS) == set(CONSTRUCTIONS)
+
+    def test_unread_options_are_named_together(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main(["twist", fx("rb2dim_poisson"), "--construction", "nijenhuis", "--operator", "R",
+                     "--power", "99", "--xi", "1,2", "--multiplier", "zz", "-o", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: usage: nijenhuis does not read --multiplier, --power, --xi\n")
+        assert not out.exists()
 
 
 class TestTensor:

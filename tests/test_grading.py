@@ -172,8 +172,8 @@ class TestClosedForm:
         # the same for the algebra layer, after a full Hom-Poisson sweep
         warm, cold = load_fixture("example3_corrected").algebra, load_fixture("example3_corrected").algebra
         assert all_ok(check_hom_poisson(warm))
-        for w, c, cache in [(warm, cold, "eps"), (warm.alpha, cold.alpha, "_columns"),
-                            (warm.mu, cold.mu, "_rows"), (warm.bracket, cold.bracket, "_rows")]:
+        for w, c, cache in [(warm, cold, "eps"), (warm, cold, "_ints"), (warm.alpha, cold.alpha, "_ints"),
+                            (warm.mu, cold.mu, "_ints"), (warm.bracket, cold.bracket, "_ints")]:
             assert cache in vars(w) and cache not in vars(c)
             assert w == c and hash(w) == hash(c) and repr(w) == repr(c)
         # the stored attributes of a fresh instance are exactly its inputs, in order

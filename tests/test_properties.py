@@ -234,7 +234,10 @@ def transported_fixtures(draw):
 
 @st.composite
 def random_algebras(draw):
-    """Random constants over Z2 or Z2^2, with alpha[0][1] != 0."""
+    """Random constants over Z2 or Z2^2, with alpha[0][1] != 0 and entries
+    with denominators.  The commutation factor is a sign bicharacter or,
+    as often, a rational table: that sign factor times the delta of a
+    random multiplier, whose entries have denominators too."""
     g = GroupSpec(draw(st.sampled_from([(2,), (2, 2)])))
     n = draw(st.integers(2, 4))
     degs = [draw(st.sampled_from(g.elements())) for _ in range(n)]
@@ -251,8 +254,11 @@ def random_algebras(draw):
     alpha = _even_rows(draw, degs, constants)
     alpha[0][1] = draw(nonzero)
     exponents = [[draw(st.integers(0, 1)) for _ in range(g.rank)] for _ in range(g.rank)]
-    A = GradedAlgebra(SignBicharacter(g, exponents), basis, product(), product(),
-                      EvenLinearMap(basis, alpha))
+    epsilon = SignBicharacter(g, exponents)
+    if draw(st.booleans()):
+        s = MultiplierTable(g, [[draw(nonzero) for _ in range(g.order)] for _ in range(g.order)])
+        epsilon = twist_epsilon(epsilon, delta_from_multiplier(s))
+    A = GradedAlgebra(epsilon, basis, product(), product(), EvenLinearMap(basis, alpha))
     maps = [EvenLinearMap(basis, _even_rows(draw, degs, constants)) for _ in range(2)]
     return A, maps[0], A, maps
 
