@@ -24,13 +24,12 @@ Z_2^8, run in a fresh interpreter the way the console script runs it:
 the median over CLI_RUNS interpreters of the wall time and of the child's
 CPU time.  Every verdict must be PASS.
 
-Before that line it prints a start-up table, the median wall time and
-child CPU over CLI_RUNS fresh interpreters of a bare interpreter, of
-`import algcheck.cli`, and of `validate` on example3_corrected through
-entry(), each ending with os._exit, and of the same `validate` through
-sys.exit(main()), which finalizes the interpreter.  Each row's CPU over
-the row above is one item of a job's budget: interpreter, import, work,
-finalization.
+Before that line it prints a job's start-up budget: the median child CPU,
+over CLI_RUNS fresh interpreters, of each stage of one stamped run of
+`validate` on example3_corrected.  The child reads time.process_time()
+after interpreter start-up, after `import algcheck.cli` and after main(),
+then leaves through sys.exit; finalization is the rest of its CPU, so
+every stage is a difference inside one process.
 """
 
 import os
@@ -73,17 +72,13 @@ DIMS = (8, 16, 32, 64)
 GRASSMANN_RANKS = (5, 6, 7, 8)
 CLI_RUNS = 11
 ENTRY = "from algcheck.cli import entry; entry()"
-# start-up rows: (label, `python -c` code, whether it validates
-# example3_corrected); each row's CPU over the row above is the budget item
-# in its label.  All rows but the last end with os._exit, as entry() does,
-# so that finalization shows in the last row alone.
-STARTUP = (
-    ("interpreter: `os._exit(0)`", "import os; os._exit(0)", False),
-    ("import: `import algcheck.cli`", "import os, algcheck.cli; os._exit(0)", False),
-    ("work: `validate` through entry()", ENTRY, True),
-    ("finalization: `validate` through sys.exit(main())",
-     "import sys; from algcheck.cli import main; sys.exit(main())", True),
-)
+# one stamped start-up run: its process_time() after interpreter start-up,
+# after the import and after main(), on stderr, then sys.exit
+STAMPED = ("import sys, time; t = [time.process_time()]; import algcheck.cli; "
+           "t.append(time.process_time()); code = algcheck.cli.main(sys.argv[1:]); "
+           "t.append(time.process_time()); print(*t, file=sys.stderr); sys.exit(code)")
+STAGES = ("interpreter: start-up to the first statement", "import: `import algcheck.cli`",
+          "work: `main([\"validate\", example3_corrected])`", "finalization: after `sys.exit`")
 
 
 def _timed(fn, *args, **kwargs):
@@ -181,22 +176,21 @@ def _child_cpu():
 
 
 def child_seconds(code, *args, runs=CLI_RUNS):
-    """Median (wall, CPU) seconds of `python -c code args` over `runs` fresh
+    """(wall, CPU, stderr) of `python -c code args` in each of `runs` fresh
     interpreters, each of which must exit 0.  The run waits without a
     timeout, so the wall time carries no polling delay."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    walls, cpus = [], []
+    samples = []
     for _ in range(runs):
         cpu, start = _child_cpu(), time.perf_counter()
         done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                               capture_output=True, text=True)
-        walls.append(time.perf_counter() - start)
-        cpus.append(_child_cpu() - cpu)
+        samples.append((time.perf_counter() - start, _child_cpu() - cpu, done.stderr))
         if done.returncode != 0:
             raise AssertionError(f"{code} {args} exited {done.returncode}: "
                                  f"{done.stdout}{done.stderr}")
-    return statistics.median(walls), statistics.median(cpus)
+    return samples
 
 
 def cli_validate_seconds(rank=8, runs=CLI_RUNS):
@@ -206,15 +200,19 @@ def cli_validate_seconds(rank=8, runs=CLI_RUNS):
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "line.json"
         path.write_text(line_document(rank), encoding="utf-8")
-        return child_seconds(ENTRY, "validate", str(path), runs=runs)
+        samples = child_seconds(ENTRY, "validate", str(path), runs=runs)
+    return tuple(statistics.median(s[k] for s in samples) for k in (0, 1))
 
 
 def startup_seconds(runs=CLI_RUNS):
-    """Median (wall, CPU) seconds of each STARTUP row over `runs`
-    interpreters, in order."""
+    """Median CPU seconds of each of the STAGES over `runs` stamped runs of
+    `validate` on example3_corrected, in order."""
     example = str(SRC.parent / "fixtures" / "example3_corrected.json")
-    return [child_seconds(code, *(["validate", example] if validate else []), runs=runs)
-            for _, code, validate in STARTUP]
+    stages = []
+    for _, cpu, stderr in child_seconds(STAMPED, "validate", example, runs=runs):
+        stamps = [0.0, *map(float, stderr.split()[-3:]), cpu]
+        stages.append([b - a for a, b in zip(stamps, stamps[1:])])
+    return [statistics.median(stage) for stage in zip(*stages)]
 
 
 def main(argv=None):
@@ -238,14 +236,10 @@ def main(argv=None):
         seconds, pairs = grassmann_seconds(rank)
         print(f"| {rank} | {2 ** rank} | {pairs} | {seconds:.3f} s |")
     print()
-    print(f"| start-up, median of {CLI_RUNS} interpreters | wall | child CPU "
-          "| CPU over the row above |")
-    print("|---|---|---|---|")
-    previous = 0.0
-    for (label, _, _), (wall, cpu) in zip(STARTUP, startup_seconds()):
-        print(f"| {label} | {wall * 1000:.1f} ms | {cpu * 1000:.1f} ms "
-              f"| {(cpu - previous) * 1000:+.1f} ms |")
-        previous = cpu
+    print(f"| start-up stage, median of {CLI_RUNS} interpreters | child CPU |")
+    print("|---|---|")
+    for label, cpu in zip(STAGES, startup_seconds()):
+        print(f"| {label} | {cpu * 1000:.1f} ms |")
     print()
     wall, cpu = cli_validate_seconds(8)
     print(f"CLI validate, dim 1, sign bicharacter over Z_2^8, median of {CLI_RUNS} runs: "

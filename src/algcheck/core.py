@@ -453,14 +453,14 @@ def check_hom_leibniz(A):
 
 def _axioms(A, commutative=False):
     """The product axioms that apply to A, in report order:
-    Hom-associativity and, if asked for, eps-commutativity when A carries
-    mu; eps-skew-symmetry and the Hom-Jacobi identity when it carries a
-    bracket; the Hom-Leibniz rule when it carries both."""
+    Hom-associativity when A carries mu; eps-commutativity if asked for,
+    which needs mu; eps-skew-symmetry and the Hom-Jacobi identity when it
+    carries a bracket; the Hom-Leibniz rule when it carries both."""
     reports = []
     if A.mu is not None:
         reports.append(check_hom_associative(A))
-        if commutative:
-            reports.append(check_epsilon_commutative(A))
+    if commutative:
+        reports.append(check_epsilon_commutative(A))
     if A.bracket is not None:
         reports.extend(check_hom_lie(A))
         if A.mu is not None:

@@ -9,7 +9,7 @@ the algebra carries.  Every predicate is one `report._sweep`, through
 import itertools
 
 from . import KINDS
-from ._record import record
+from ._record import record, replace
 from .core import (
     ONE,
     EvenLinearMap,
@@ -127,10 +127,10 @@ def search_diagonal_operators(A, kind, candidate_values, power=0, weight=None):
         raise SearchSpaceError(
             f"candidate space has {size} diagonal maps, bound is {MAX_SEARCH_SIZE}"
         )
+    claim = OperatorClaim(EvenLinearMap.identity(A.basis), kind, power=power, weight=weight)
     found = []
     for diag in itertools.product(candidates, repeat=A.dim):
         m = EvenLinearMap.diagonal(A.basis, diag)
-        claim = OperatorClaim(m, kind, power=power, weight=weight)
-        if all_ok(check_operator(A, claim)):
+        if all_ok(check_operator(A, replace(claim, map=m))):
             found.append(m)
     return found

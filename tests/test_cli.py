@@ -47,6 +47,15 @@ class TestValidate:
         assert "epsilon-commutativity" in capsys.readouterr().out
         assert main(["validate", "--commutative", fx("example3_corrected")]) == 1
 
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    def test_commutative_flag_needs_mu(self, tmp_path, capsys, command):
+        raw = json.loads((FIXTURES / "rb2dim_poisson.json").read_text(encoding="utf-8"))
+        del raw["mu"]
+        path = written(tmp_path, raw)
+        assert main([command, "--commutative", path]) == 2
+        assert capsys.readouterr() == ("", "error: algebra has no mu\n")
+        assert main([command, path]) == 0
+
     def test_json_output(self, capsys):
         assert main(["validate", "--json", fx("rb2dim")]) == 0
         payload = json.loads(capsys.readouterr().out)

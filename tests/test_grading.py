@@ -290,6 +290,7 @@ def test_scale_probe_runs_at_small_orders():
     assert [probe.grassmann_seconds(r)[1] for r in (1, 2, 3)] == [3, 9, 27]
     wall, cpu = probe.cli_validate_seconds(rank=4, runs=1)
     assert wall > 0 and cpu > 0
-    seconds = probe.startup_seconds(runs=1)
-    assert len(seconds) == len(probe.STARTUP)
-    assert all(wall > 0 and cpu > 0 for wall, cpu in seconds)
+    # the four stages of one interpreter are differences of its own stamps
+    stages = probe.startup_seconds(runs=1)
+    assert len(stages) == len(probe.STAGES) == 4
+    assert all(cpu >= 0 for cpu in stages)

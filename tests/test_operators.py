@@ -216,6 +216,11 @@ class TestSearch:
         diags = [tuple(m.matrix[i][i] for i in range(2)) for m in found]
         assert diags == [(-1, -1), (0, 0)]
 
+    @pytest.mark.parametrize("kind", ["bogus", "rota-baxter"])  # rota-baxter with no weight
+    def test_claim_checked_without_candidates(self, rb2dim, kind):
+        with pytest.raises(InvalidRepresentationError):
+            search_diagonal_operators(rb2dim, kind, [])
+
     def test_dimension_guard(self, rb2dim):
         g = rb2dim.group
         basis = GradedBasis(g, ((0,),) * 7)
