@@ -164,9 +164,11 @@ class EvenLinearMap:
 @record
 class BilinearProduct:
     """Sparse structure constants: entries are (i, j, k, c) with
-    e_i e_j = sum_k c e_k, sorted lexicographically, zero c dropped.
-    Indexed once, on first use, as the row index i -> {j: {k: c}} in
-    entry order; every reader goes through it."""
+    e_i e_j = sum_k c e_k, sorted lexicographically, zero c dropped, and
+    a repeated (i, j, k) summed.  Indexed on first use, in entry order,
+    twice: `_rows`, i -> {j: {k: c}} over Fraction, which the pair and
+    map laws and the constructions read, and `_ints`, the cleared-int
+    indexes that the trilinear joins read."""
 
     basis: GradedBasis
     entries: tuple

@@ -1,5 +1,9 @@
 """The algebra file format: a single JSON object, rationals as strings.
 
+A document states each fact once and only facts the checker reads: an
+unknown field, an epsilon given both as a matrix and as a table, and a
+structure-constant cell listed twice are refused.
+
 Canonical serialization sorts keys, sorts structure-constant triples
 lexicographically, reduces every rational and is byte-stable across
 runs, so parse -> serialize -> parse is the identity on canonical
@@ -57,6 +61,8 @@ class AlgebraDocument:
 
 _REQUIRED = object()
 _PRODUCTS = ("mu", "bracket")
+_FIELDS = ("name", "group", "basis", "epsilon", *_PRODUCTS, "alpha", "operators", "multipliers",
+           "metadata")
 _JSON_TYPES = {dict: "an object", list: "a list"}
 
 
@@ -71,6 +77,13 @@ def _need(obj, key, kind, location, default=_REQUIRED):
     if not isinstance(value, kind):
         raise DocumentError("shape", f"field {key!r} must be {_JSON_TYPES[kind]}", location)
     return value
+
+
+def _known(obj, fields, prefix=""):
+    """Refuse a key of obj outside `fields`: a fact the checker would not read."""
+    for key in obj:
+        if key not in fields:
+            raise DocumentError("unknown-field", f"{key!r} is not a field of the format", prefix + key)
 
 
 def _ints(value, location):
@@ -110,7 +123,7 @@ def _matrix(basis, rows, location):
 def _product(basis, triples, location):
     if not isinstance(triples, list):
         raise DocumentError("shape", "product must be a list of (i, j, k, c) entries", location)
-    entries = []
+    entries, first = [], {}
     for t, item in enumerate(triples):
         loc = f"{location}[{t}]"
         if not (isinstance(item, list) and len(item) == 4):
@@ -118,6 +131,9 @@ def _product(basis, triples, location):
         i, j, k, c = item
         if not all(map(_is_int, (i, j, k))):
             raise DocumentError("shape", "indices must be integers", loc)
+        if first.setdefault((i, j, k), t) != t:
+            raise DocumentError("shape", f"cell ({i}, {j}, {k}) is already given at "
+                                f"{location}[{first[i, j, k]}]", loc)
         entries.append((i, j, k, parse_rational(c, loc)))
     return _located(location, BilinearProduct, basis, tuple(entries))
 
@@ -129,12 +145,15 @@ def parse_document(text):
         raise DocumentError("malformed-json", str(exc)) from exc
     if not isinstance(raw, dict):
         raise DocumentError("malformed-json", "document must be a JSON object")
+    _known(raw, _FIELDS)
 
     group_raw = _need(raw, "group", dict, "group")
+    _known(group_raw, ("moduli",), "group.")
     moduli = _ints(_need(group_raw, "moduli", list, "group"), "group.moduli")
     group = _located("group.moduli", GroupSpec, moduli)
 
     basis_raw = _need(raw, "basis", dict, "basis")
+    _known(basis_raw, ("degrees",), "basis.")
     degrees = _need(basis_raw, "degrees", list, "basis")
     for d, deg in enumerate(degrees):
         if not group.is_canonical(_ints(deg, f"basis.degrees[{d}]")):
@@ -146,6 +165,9 @@ def parse_document(text):
     basis = _located("basis.degrees", GradedBasis, group, tuple(tuple(d) for d in degrees))
 
     eps_raw = _need(raw, "epsilon", dict, "epsilon")
+    _known(eps_raw, ("matrix", "table"), "epsilon.")
+    if "matrix" in eps_raw and "table" in eps_raw:
+        raise DocumentError("shape", "epsilon gives both 'matrix' and 'table'", "epsilon")
     if "matrix" in eps_raw:
         rows = _need(eps_raw, "matrix", list, "epsilon")
         rows = tuple(_ints(r, f"epsilon.matrix[{i}]") for i, r in enumerate(rows))

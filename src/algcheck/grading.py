@@ -86,11 +86,14 @@ def _parse_int(text):
 def group_order_bound():
     raw = os.environ.get("ALGCHECK_GROUP_BOUND", str(DEFAULT_GROUP_BOUND))
     try:
-        return _parse_int(raw)
+        bound = _parse_int(raw)
     except ValueError:
         raise InvalidRepresentationError(
             f"ALGCHECK_GROUP_BOUND must be an integer, got {raw!r}"
         ) from None
+    if bound < 1:
+        raise InvalidRepresentationError(f"ALGCHECK_GROUP_BOUND must be at least 1, got {raw!r}")
+    return bound
 
 
 @record
@@ -103,10 +106,9 @@ class GroupSpec:
         object.__setattr__(self, "moduli", _integers(self.moduli, "cyclic factor sizes"))
         if any(m < 1 for m in self.moduli):
             raise InvalidRepresentationError(f"cyclic factor sizes must be >= 1: {self.moduli}")
-        if self.order > group_order_bound():
-            raise InvalidRepresentationError(
-                f"group order {self.order} exceeds bound {group_order_bound()}"
-            )
+        bound = group_order_bound()
+        if self.order > bound:
+            raise InvalidRepresentationError(f"group order {self.order} exceeds bound {bound}")
 
     @property
     def rank(self):

@@ -64,6 +64,13 @@ def rb2dim_with(path, value):
     return raw
 
 
+def edited(name, edit):
+    """The fixture `name` as a JSON object, after edit(raw)."""
+    raw = json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+    edit(raw)
+    return raw
+
+
 def line_over(moduli, epsilon, **extra):
     """A one-dimensional algebra document e0.e0 = e0 over the group with
     these moduli, with the given "epsilon" object and a zero bracket."""
@@ -86,6 +93,11 @@ NON_BICHARACTER = [
 # (0),(0),(1)), and the even map on it that swaps e1 and e2
 OTHER_BASIS = GradedBasis(GroupSpec((2,)), ((0,), (1,), (1,)))
 SWAP_ON_OTHER_BASIS = EvenLinearMap(OTHER_BASIS, ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+
+# the rows of two even bijections on example3's basis: a triangular one, and
+# one that swaps e0 and e1 (both of degree 0) and scales e2, whose inverse
+# needs a row swap
+BIJECTIONS = [((1, 2, 0), (0, 1, 0), (0, 0, F(3, 5))), ((0, 1, 0), (1, 0, 0), (0, 0, F(3, 5)))]
 
 
 def three_dim(a=F(2), exponent=1, corrected=True):

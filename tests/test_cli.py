@@ -8,12 +8,16 @@ import pytest
 from algcheck import parse_document
 from algcheck.cli import CONSTRUCTIONS, main
 
-from conftest import FIXTURES, NON_BICHARACTER, WRONG_TYPED_FIELDS, line_over, rb2dim_with
+from conftest import FIXTURES, NON_BICHARACTER, WRONG_TYPED_FIELDS, edited, line_over, rb2dim_with
 
 
 def fx(name):
     return str(FIXTURES / f"{name}.json")
 
+
+REPORT = (FIXTURES / "reports" / "example3_as_printed.validate.txt").read_bytes()
+RB_TWIST = ["twist", fx("rb2dim_poisson"), "--construction", "rota-baxter",
+            "--operator", "R", "--weight", "1/2"]
 
 # the options each twist construction reads, and a value for each option
 READS = {
@@ -49,9 +53,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("command", ["validate", "report"])
     def test_commutative_flag_needs_mu(self, tmp_path, capsys, command):
-        raw = json.loads((FIXTURES / "rb2dim_poisson.json").read_text(encoding="utf-8"))
-        del raw["mu"]
-        path = written(tmp_path, raw)
+        path = written(tmp_path, edited("rb2dim_poisson", lambda raw: raw.pop("mu")))
         assert main([command, "--commutative", path]) == 2
         assert capsys.readouterr() == ("", "error: algebra has no mu\n")
         assert main([command, path]) == 0
@@ -110,8 +112,7 @@ class TestValidate:
 class TestReport:
     def test_matches_committed_regression(self, capsys):
         assert main(["report", fx("example3_as_printed")]) == 1
-        expected = (FIXTURES / "reports" / "example3_as_printed.validate.txt").read_bytes()
-        assert capsys.readouterr().out.encode("utf-8") == expected
+        assert capsys.readouterr().out.encode("utf-8") == REPORT
 
 
 class TestCheckOperator:
@@ -153,8 +154,7 @@ class TestCheckOperator:
 class TestTwist:
     def test_rota_baxter_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "twisted.json"
-        assert main(["twist", fx("rb2dim_poisson"), "--construction", "rota-baxter",
-                     "--operator", "R", "--weight", "1/2", "-o", str(out)]) == 0
+        assert main(RB_TWIST + ["-o", str(out)]) == 0
         assert main(["validate", str(out)]) == 0
         doc = parse_document(out.read_text(encoding="utf-8"))
         assert doc.metadata["construction"] == "rota-baxter"
@@ -374,8 +374,7 @@ class TestCommutationFactorGate:
 
 
 class TestConstructionJson:
-    RB = ["twist", fx("rb2dim_poisson"), "--construction", "rota-baxter",
-          "--operator", "R", "--weight", "1/2", "--json"]
+    RB = RB_TWIST + ["--json"]
 
     def test_pass_with_output_file(self, tmp_path, capsys):
         out = tmp_path / "t.json"
@@ -421,68 +420,105 @@ def test_import_leaves_out_dataclasses_and_inspect():
 
 
 # ---------------------------------------------------------------------------
-# the console script's entry(): flush, then os._exit; stdout, stderr and the
-# exit code must be those of main() in process
+# the CLI contract in real processes.  `python -W error -m algcheck.cli` runs
+# entry() (flush stdout, then os._exit) through runpy, with warnings as
+# errors; its exit code, stdout, stderr and output files must be those of
+# main() in process.  The console script and perfbench start entry() through
+# ENTRY instead, which test_entry_without_stdout_keeps_the_verdict runs.
 
 ENTRY = "from algcheck.cli import entry; entry()"
+BOUND = "ALGCHECK_GROUP_BOUND"
 
 
 def run_entry(argv, stdout=subprocess.PIPE, unbuffered=False):
-    """entry() in a fresh interpreter, its stdout block-buffered unless
+    """The CLI in a fresh interpreter, its stdout block-buffered unless
     `unbuffered`, so that output left unflushed at exit would be lost."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(FIXTURES.parent / "src")
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run([sys.executable, "-c", ENTRY, *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, env=env)
+    return subprocess.run([sys.executable, "-W", "error", "-m", "algcheck.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env)
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["validate", fx("example3_corrected")], 0),
-    (["report", fx("example3_as_printed")], 1),
-    (["validate", "no-such-file.json"], 2),
-    (["validate", "--json", fx("rb2dim")], 0),
-], ids=["validate", "report", "missing-file", "validate-json"])
-def test_entry_matches_main(capsys, argv, code):
-    done = run_entry(argv)
-    assert main(argv) == code
+@pytest.fixture(scope="module")
+def docs(tmp_path_factory):
+    """A directory of fixture copies with one change each."""
+    path = tmp_path_factory.mktemp("docs")
+    for name, raw in {
+        "bracket-only": edited("rb2dim_poisson", lambda raw: raw.pop("mu")),
+        "Mu": edited("example3_as_printed", lambda raw: raw.update(Mu=raw.pop("mu"))),
+        "two-epsilons": rb2dim_with(("epsilon", "table"), [["1", "1"], ["1", "-1"]]),
+        "repeated-cell": edited("rb2dim", lambda raw: raw["mu"].append(raw["mu"][0][:3] + ["5"])),
+    }.items():
+        (path / f"{name}.json").write_text(json.dumps(raw), encoding="utf-8")
+    return path
+
+
+def names_bound(done, out):
+    """A row check: the error names the variable, not a document."""
+    return done.stderr.startswith(f"error: {BOUND} must be ".encode())
+
+
+def validates(name):
+    """A row check: `validate` on the output file `name` exits 0."""
+    return lambda done, out: run_entry(["validate", str(out / name)]).returncode == 0
+
+
+# argv ({out} is an empty directory, {docs} the one above), environment, exit
+# code and a check of the process's result and output directory
+@pytest.mark.parametrize("argv, env, code, check", [
+    pytest.param(["validate", fx("example3_corrected")], {}, 0, None, id="validate"),
+    pytest.param(["report", fx("example3_as_printed")], {}, 1,
+                 lambda done, out: done.stdout == REPORT, id="report"),
+    pytest.param(["validate", "no-such-file.json"], {}, 2, None, id="missing-file"),
+    pytest.param(["validate", "--json", fx("rb2dim")], {}, 0, None, id="validate-json"),
+    pytest.param(["validate"], {}, 2, None, id="usage-error"),
+    pytest.param(["validate", "--help"], {}, 0,
+                 lambda done, out: done.stdout.startswith(b"usage: algcheck validate"), id="help"),
+    pytest.param(["check-operator", fx("diff4"), "--name", "d", "--kind", "averaging"], {}, 0,
+                 None, id="check-operator"),
+    pytest.param(RB_TWIST + ["-o", "{out}/t.json"], {}, 0, validates("t.json"), id="twist-output"),
+    pytest.param(RB_TWIST + ["--json"], {}, 0, lambda done, out: json.loads(done.stdout),
+                 id="twist-json"),
+    pytest.param(["tensor", fx("comm2"), fx("example3_corrected"), "-o", "{out}/t.json"], {}, 0,
+                 validates("t.json"), id="tensor-output"),
+    pytest.param(["validate", fx("example3_corrected")], {BOUND: "abc"}, 2, names_bound,
+                 id="bound-not-an-integer"),
+    pytest.param(["validate", fx("comm2")], {BOUND: "0"}, 2, names_bound, id="bound-below-one"),
+    pytest.param(["check-operator", fx("diff4"), "--name", "d", "--kind", "averaging",
+                  "--power", "\u0661"], {}, 2, None, id="power-arabic-indic"),
+    pytest.param(["twist", fx("rb2dim_poisson"), "--construction", "nijenhuis", "--operator", "R",
+                  "--power", "99", "--xi", "1,2", "--multiplier", "zz", "-o", "{out}/unread.json"],
+                 {}, 2, lambda done, out: not (out / "unread.json").exists(), id="unread-options"),
+    pytest.param(["validate", "{docs}/bracket-only.json"], {}, 0, None, id="bracket-only"),
+    pytest.param(["validate", "--commutative", "{docs}/bracket-only.json"], {}, 2, None,
+                 id="bracket-only-commutative"),
+    pytest.param(["validate", "{docs}/Mu.json"], {}, 2, None, id="unknown-field"),
+    pytest.param(["validate", "{docs}/two-epsilons.json"], {}, 2, None, id="epsilon-given-twice"),
+    pytest.param(["validate", "{docs}/repeated-cell.json"], {}, 2, None, id="repeated-cell"),
+])
+def test_entry_matches_main(tmp_path, monkeypatch, capsys, docs, argv, env, code, check):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    outs = [tmp_path / "process", tmp_path / "main"]
+    process_argv, main_argv = ([a.format(out=out, docs=docs) for a in argv] for out in outs)
+    for out in outs:
+        out.mkdir()
+    done = run_entry(process_argv)
+    try:
+        assert main(main_argv) == code
+    except SystemExit as exc:  # argparse: usage errors and --help
+        assert exc.code == code
     captured = capsys.readouterr()
     assert (done.returncode, done.stdout, done.stderr) == (
         code, captured.out.encode("utf-8"), captured.err.encode("utf-8"))
-    if argv[0] == "report":
-        assert done.stdout == (FIXTURES / "reports" / "example3_as_printed.validate.txt").read_bytes()
-    if code == 2:
-        assert done.stderr.startswith(b"error:")
-
-
-def test_entry_writes_the_output_file_in_full(tmp_path, capsys):
-    argv = ["twist", fx("rb2dim_poisson"), "--construction", "rota-baxter",
-            "--operator", "R", "--weight", "1/2", "-o"]
-    done = run_entry(argv + [str(tmp_path / "entry.json")])
-    assert main(argv + [str(tmp_path / "main.json")]) == 0
-    assert (done.returncode, done.stdout) == (0, capsys.readouterr().out.encode("utf-8"))
-    assert (tmp_path / "entry.json").read_bytes() == (tmp_path / "main.json").read_bytes()
-
-
-def test_entry_usage_error_exits_through_argparse(capsys):
-    argv = ["validate"]
-    done = run_entry(argv)
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert (done.returncode, done.stderr) == (2, capsys.readouterr().err.encode("utf-8"))
-
-
-def test_entry_help_matches_main(capsys):
-    argv = ["validate", "--help"]
-    done = run_entry(argv)
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 0
-    captured = capsys.readouterr()
-    assert captured.out.startswith("usage: algcheck validate")
-    assert (done.returncode, done.stdout, done.stderr) == (0, captured.out.encode("utf-8"), b"")
+    process_files, main_files = ({p.name: p.read_bytes() for p in out.iterdir()} for out in outs)
+    assert process_files == main_files
+    # exit 2 is one error line and no stdout, and nothing ends in a traceback
+    assert b"Traceback" not in done.stderr
+    assert code != 2 or (done.stdout, done.stderr.count(b"error: ")) == (b"", 1)
+    assert check is None or check(done, outs[0])
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

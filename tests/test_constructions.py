@@ -27,7 +27,7 @@ from algcheck import (
     xi_twist,
 )
 
-from conftest import NON_BICHARACTER, SWAP_ON_OTHER_BASIS, load_fixture, three_dim
+from conftest import BIJECTIONS, NON_BICHARACTER, SWAP_ON_OTHER_BASIS, load_fixture, three_dim
 
 
 class TestXiTwist:
@@ -128,9 +128,8 @@ def test_multiplier_over_another_group_refused(example3, twist, moduli):
 
 class TestTransport:
     def test_generic_bijection(self, example3):
-        f = EvenLinearMap(example3.basis, ((1, 2, 0), (0, 1, 0), (0, 0, F(3, 5))))
-        res = transport_along_bijection(example3, f)
-        assert res.ok
+        for rows in BIJECTIONS:
+            assert transport_along_bijection(example3, EvenLinearMap(example3.basis, rows)).ok
 
     def test_identity_is_neutral(self, example3):
         res = transport_along_bijection(example3, EvenLinearMap.identity(example3.basis))

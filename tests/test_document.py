@@ -18,7 +18,7 @@ from algcheck import (
 from algcheck.cli import main
 from algcheck.operators import KINDS
 
-from conftest import FIXTURES, WRONG_TYPED_FIELDS, line_over, rb2dim_with
+from conftest import FIXTURES, WRONG_TYPED_FIELDS, edited, line_over, rb2dim_with
 
 ALL_FIXTURES = sorted(p.stem for p in FIXTURES.glob("*.json"))
 
@@ -149,6 +149,28 @@ class TestParseErrors:
         raw = self._base()
         raw["mu"][0][0] = "0"
         self._expect(raw, "shape", "mu[0]", "shape at mu[0]: indices must be integers")
+
+    @pytest.mark.parametrize("path, location", [
+        (("Mu",), "Mu"), (("group", "order"), "group.order"), (("basis", "dim"), "basis.dim"),
+        (("epsilon", "sign"), "epsilon.sign"),
+    ], ids=["top-level", "group", "basis", "epsilon"])
+    def test_unknown_field(self, path, location):
+        # a field the checker would not read is refused, not ignored
+        self._expect(rb2dim_with(path, 1), "unknown-field", location,
+                     f"unknown-field at {location}: {path[-1]!r} is not a field of the format")
+
+    def test_epsilon_given_twice(self):
+        raw = rb2dim_with(("epsilon", "table"), [["1", "1"], ["1", "-1"]])
+        self._expect(raw, "shape", "epsilon",
+                     "shape at epsilon: epsilon gives both 'matrix' and 'table'")
+
+    @pytest.mark.parametrize("name, key", [("rb2dim", "mu"), ("rb2dim_poisson", "bracket")])
+    def test_repeated_cell(self, name, key):
+        # the library's BilinearProduct would sum the two constants
+        raw = edited(name, lambda raw: raw[key].append(raw[key][0][:3] + ["5"]))
+        t, (i, j, k, _) = len(raw[key]) - 1, raw[key][0]
+        self._expect(raw, "shape", f"{key}[{t}]",
+                     f"shape at {key}[{t}]: cell ({i}, {j}, {k}) is already given at {key}[0]")
 
 
 class TestOptionalSections:

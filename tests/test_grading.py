@@ -51,6 +51,14 @@ class TestGroup:
             GroupSpec((3, 3))
         assert GroupSpec((2, 4)).order == 8
 
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_order_bound_below_one_names_the_variable(self, monkeypatch, raw):
+        # not "group order 1 exceeds bound 0", which blames the group
+        monkeypatch.setenv("ALGCHECK_GROUP_BOUND", raw)
+        with pytest.raises(InvalidRepresentationError) as exc:
+            GroupSpec((1,))
+        assert str(exc.value) == f"ALGCHECK_GROUP_BOUND must be at least 1, got {raw!r}"
+
     def test_trivial_factor_allowed(self):
         g = GroupSpec((1, 2))
         assert g.order == 2 and g.elements()[0] == (0, 0)

@@ -191,6 +191,29 @@ def even_map_pairs(draw):
     return tuple(EvenLinearMap(basis, _even_rows(draw, degs, constants)) for _ in range(2))
 
 
+@st.composite
+def invertible_even_maps(draw):
+    """A within-degree permutation of the rows of an even upper triangular
+    map with a nonzero diagonal: invertible, and its inverse may need row swaps."""
+    g = GroupSpec(draw(st.sampled_from([(2,), (3,), (2, 2)])))
+    degs = [draw(st.sampled_from(g.elements())) for _ in range(draw(st.integers(1, 5)))]
+    n = len(degs)
+    rows = [[draw(nonzero) if r == c else draw(constants) if r < c and degs[r] == degs[c] else F(0)
+             for c in range(n)] for r in range(n)]
+    order = list(range(n))
+    for d in sorted(set(degs)):
+        same = [i for i in range(n) if degs[i] == d]
+        for i, j in zip(same, draw(st.permutations(same))):
+            order[i] = j
+    return EvenLinearMap(GradedBasis(g, tuple(degs)), [rows[order[r]] for r in range(n)])
+
+
+@given(invertible_even_maps())
+def test_inverse_of_an_invertible_even_map(f):
+    identity = EvenLinearMap.identity(f.basis)
+    assert f.compose(f.inverse()) == identity == f.inverse().compose(f)
+
+
 @given(even_map_pairs(), st.integers(0, 3))
 def test_compose_and_power_match_dense_apply(maps, k):
     f, g = maps
