@@ -162,9 +162,8 @@ def grassmann_seconds(rank):
 def line_document(rank):
     """A dim-1 algebra in degree 0 over Z_2^rank with the identity exponent
     matrix: the unital line e e = e, alpha = id."""
-    g = GroupSpec((2,) * rank)
+    g, eps = z2_power(1 << rank)
     basis = GradedBasis(g, (g.zero,))
-    eps = SignBicharacter(g, tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)))
     alg = GradedAlgebra(eps, basis, BilinearProduct(basis, ((0, 0, 0, 1),)), None,
                         EvenLinearMap.identity(basis))
     return serialize_document(AlgebraDocument(name=f"line-z2^{rank}", algebra=alg))

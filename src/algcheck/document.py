@@ -1,8 +1,9 @@
 """The algebra file format: a single JSON object, rationals as strings.
 
-A document states each fact once and only facts the checker reads: an
-unknown field, an epsilon given both as a matrix and as a table, and a
-structure-constant cell listed twice are refused.
+A document states each fact once and only facts the checker reads: a key
+repeated in one JSON object, an unknown field, an epsilon given both as a
+matrix and as a table, and a structure-constant cell listed twice are
+refused.
 
 Canonical serialization sorts keys, sorts structure-constant triples
 lexicographically, reduces every rational and is byte-stable across
@@ -86,6 +87,19 @@ def _known(obj, fields, prefix=""):
             raise DocumentError("unknown-field", f"{key!r} is not a field of the format", prefix + key)
 
 
+def _object(pairs):
+    """A JSON object as a dict, refusing a key it repeats: json.loads
+    alone would keep the last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DocumentError("shape", f"key {key!r} appears twice in one object")
+            seen.add(key)
+    return obj
+
+
 def _ints(value, location):
     if not (isinstance(value, list) and all(map(_is_int, value))):
         raise DocumentError("shape", "must be a list of integers", location)
@@ -140,7 +154,7 @@ def _product(basis, triples, location):
 
 def parse_document(text):
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise DocumentError("malformed-json", str(exc)) from exc
     if not isinstance(raw, dict):

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import pathlib
@@ -5,23 +6,25 @@ from fractions import Fraction as F
 
 import pytest
 
-from algcheck import (
-    BilinearProduct,
-    EvenLinearMap,
-    GradedAlgebra,
-    GradedBasis,
-    GroupSpec,
-    ShapeError,
-    SignBicharacter,
-    parse_document,
-)
-from algcheck.core import ZERO, _sides
+from algcheck import EvenLinearMap, GradedBasis, GroupSpec, SignBicharacter, parse_document
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def load_fixture(name):
     return parse_document((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def load_script(name):
+    """scripts/<name>.py as a module, without running its main()."""
+    path = FIXTURES.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+MAKE_FIXTURES = load_script("make_fixtures")
 
 
 # valid JSON with a wrongly typed field: (path into rb2dim.json, value, and
@@ -64,6 +67,13 @@ def rb2dim_with(path, value):
     return raw
 
 
+def rb2dim_text_with(prefix, entry):
+    """The text of rb2dim.json with `entry` inserted after the first `prefix`:
+    a way to repeat a key, which a JSON object read into a dict cannot."""
+    head, sep, tail = (FIXTURES / "rb2dim.json").read_text(encoding="utf-8").partition(prefix)
+    return head + sep + entry + tail
+
+
 def edited(name, edit):
     """The fixture `name` as a JSON object, after edit(raw)."""
     raw = json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
@@ -101,22 +111,10 @@ BIJECTIONS = [((1, 2, 0), (0, 1, 0), (0, 0, F(3, 5))), ((0, 1, 0), (1, 0, 0), (0
 
 
 def three_dim(a=F(2), exponent=1, corrected=True):
-    """The 3-dim parameterized fixture over Z_2, in both table variants."""
-    g = GroupSpec((2,))
-    basis = GradedBasis(g, ((0,), (0,), (1,)))
-    a = F(a)
-    entries = [
-        (0, 0, 0, F(1)), (0, 1, 1, F(1)), (0, 2, 2, a),
-        (1, 2, 2, F(1)), (2, 0, 2, a),
-    ]
-    if corrected:
-        entries += [(1, 0, 1, F(1)), (1, 1, 1, 1 / a)]
-    else:
-        entries += [(1, 0, 1, 1 / a)]
-    mu = BilinearProduct(basis, tuple(entries))
-    bracket = BilinearProduct(basis, ((1, 2, 2, F(1)), (2, 1, 2, F(-1))))
-    alpha = EvenLinearMap.diagonal(basis, (1, 1, a))
-    return GradedAlgebra(SignBicharacter(g, ((exponent,),)), basis, mu, bracket, alpha)
+    """The fixtures' Example 3 algebra over Z_2, as scripts/make_fixtures.py
+    builds it, with parameter a and the exponent matrix [[exponent]]."""
+    A = MAKE_FIXTURES.three_dim(a, corrected)
+    return A.replace(epsilon=SignBicharacter(A.group, ((exponent,),)))
 
 
 @pytest.fixture
@@ -236,32 +234,14 @@ def residual_direct(A, axiom, vectors):
     return vec_sub(*AXIOMS[axiom](A, *vectors))
 
 
-# The kernel side: the trilinear combination of the per-tuple residuals that
-# core's join blocks hold.  It must agree with residual_direct everywhere.
-_LAWS = {"associativity": "hom-associativity", "jacobi": "hom-jacobi", "leibniz": "hom-leibniz"}
-
-
-def residual_from_basis(A, axiom, vectors):
-    if len(vectors) != 3:
-        raise ShapeError(f"{axiom} takes 3 vectors")
-    x, y, z = vectors
-    n = A.dim
-    out = [ZERO] * n
-    for i in range(n):
-        scale, lhs, rhs = _sides(A, _LAWS[axiom], i)
-        for j, k in itertools.product(range(n), repeat=2):
-            coeff = x[i] * y[j] * z[k]
-            if coeff == 0:
-                continue
-            l, r = lhs.get((j, k), {}), rhs.get((j, k), {})
-            for m in range(n):
-                out[m] += coeff * F(l.get(m, 0) - r.get(m, 0), scale)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # dense reference for the sweeps: the formulas above at basis vectors, and the
-# operator and morphism laws.  A report is (label, [(indices, lhs, rhs), ...]).
+# operator and morphism laws.  A report is (label, [(indices, lhs, rhs), ...]),
+# which _plain makes of the library's reports.
+
+def _plain(reports):
+    return [(r.axiom, [(v.indices, v.lhs, v.rhs) for v in r.violations]) for r in reports]
+
 
 def _ref_sweep(label, n, arity, residual):
     violations = []

@@ -54,12 +54,6 @@ def test_zero_product_is_hom_associative(rb2dim):
     assert check_hom_associative(rb2dim.replace(mu=zero)).ok
 
 
-@pytest.mark.parametrize("a", [F(1), F(2), F(-3)])
-@pytest.mark.parametrize("exponent", [0, 1])
-def test_corrected_table_is_hom_poisson(a, exponent):
-    assert all_ok(check_hom_poisson(three_dim(a, exponent)))
-
-
 def test_missing_component_errors(example3):
     no_mu = example3.replace(mu=None)
     with pytest.raises(MissingComponentError):

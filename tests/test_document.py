@@ -1,6 +1,5 @@
 import contextlib
 import copy
-import importlib.util
 import io
 import json
 from fractions import Fraction as F
@@ -18,7 +17,15 @@ from algcheck import (
 from algcheck.cli import main
 from algcheck.operators import KINDS
 
-from conftest import FIXTURES, WRONG_TYPED_FIELDS, edited, line_over, rb2dim_with
+from conftest import (
+    FIXTURES,
+    MAKE_FIXTURES,
+    WRONG_TYPED_FIELDS,
+    edited,
+    line_over,
+    rb2dim_text_with,
+    rb2dim_with,
+)
 
 ALL_FIXTURES = sorted(p.stem for p in FIXTURES.glob("*.json"))
 
@@ -172,6 +179,17 @@ class TestParseErrors:
         self._expect(raw, "shape", f"{key}[{t}]",
                      f"shape at {key}[{t}]: cell ({i}, {j}, {k}) is already given at {key}[0]")
 
+    @pytest.mark.parametrize("prefix, entry, key", [
+        ('"operators": {', '"R": [["5", "0"], ["0", "5"]], ', "R"),
+        ("{", '"alpha": [["1", "0"], ["0", "1"]], ', "alpha"),
+        ("{", '"mu": [], ', "mu"),
+    ], ids=["operator", "alpha", "mu"])
+    def test_repeated_key(self, prefix, entry, key):
+        # json.loads alone keeps the later value; built from text, since a
+        # dict cannot hold the repeat
+        self._expect(rb2dim_text_with(prefix, entry), "shape", None,
+                     f"shape: key {key!r} appears twice in one object")
+
 
 class TestOptionalSections:
     def test_bracket_is_optional(self):
@@ -201,12 +219,8 @@ class TestOptionalSections:
 
 def test_generator_reproduces_fixtures(tmp_path, monkeypatch):
     # scripts/make_fixtures.py must rebuild fixtures/ byte for byte
-    path = FIXTURES.parent / "scripts" / "make_fixtures.py"
-    spec = importlib.util.spec_from_file_location("make_fixtures", path)
-    generator = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generator)
-    monkeypatch.setattr(generator, "OUT", tmp_path)
-    generator.main()
+    monkeypatch.setattr(MAKE_FIXTURES, "OUT", tmp_path)
+    MAKE_FIXTURES.main()
     made = sorted(p.name for p in tmp_path.glob("*.json"))
     assert made == sorted(p.name for p in FIXTURES.glob("*.json"))
     for name in made:

@@ -1,5 +1,3 @@
-import importlib.util
-import pathlib
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +16,7 @@ from algcheck import (
     validate_multiplier,
 )
 
-from conftest import load_fixture, ref_bicharacter, ref_multiplier
+from conftest import load_fixture, load_script, ref_bicharacter, ref_multiplier
 
 Z2SQ = GroupSpec((2, 2))
 Z4 = GroupSpec((4,))
@@ -285,10 +283,7 @@ class TestTwistEpsilon:
 
 def test_scale_probe_runs_at_small_orders():
     # scripts/scale_probe.py must keep working; full sizes are for manual runs
-    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "scale_probe.py"
-    spec = importlib.util.spec_from_file_location("scale_probe", path)
-    probe = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(probe)
+    probe = load_script("scale_probe")
     for order in (1, 2, 16):
         assert all(t >= 0 for t in probe.sweep_seconds(order))
     with pytest.raises(ValueError):

@@ -13,6 +13,9 @@ import algcheck
 from conftest import FIXTURES
 
 LAYERS = ("errors", "report", "grading", "core", "document", "operators", "constructions")
+# modules the entry points may import beyond the layers; the import of the
+# CLI leaves out dataclasses and inspect, which cost start-up time
+MODULES = ("json", "argparse", "dataclasses", "inspect", "algcheck.cli")
 
 PUBLIC = [
     "AlgcheckError", "DocumentError", "EvennessError", "HypothesisError",
@@ -62,14 +65,13 @@ class TestNamespace:
 
 def executed(code):
     """Run `code` in a fresh interpreter (-S, so that site's .pth files
-    import nothing), then return the layer modules it executed and whether
-    json, argparse and algcheck.cli were imported.  A layer registered but
-    not yet run is a lazy module, whose type is not types.ModuleType."""
+    import nothing), then return the layer modules it executed and which
+    of the MODULES it imported.  A layer registered but not yet run is a
+    lazy module, whose type is not types.ModuleType."""
     probe = (f"{code}\nimport sys, types\n"
              f"print((sorted(m for m in {LAYERS!r} "
              "if type(sys.modules.get('algcheck.' + m)) is types.ModuleType), "
-             "sorted(m for m in ('json', 'argparse', 'algcheck.cli') if m in sys.modules)), "
-             "file=sys.stderr)")
+             f"sorted(m for m in {MODULES!r} if m in sys.modules)), file=sys.stderr)")
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")})
     assert done.returncode == 0, done.stderr

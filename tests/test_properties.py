@@ -41,6 +41,7 @@ from algcheck import (
 from algcheck.core import _axioms
 
 from conftest import (
+    _plain,
     load_fixture,
     ref_epsilon_commutative,
     ref_hom_associative,
@@ -50,11 +51,8 @@ from conftest import (
     ref_bicharacter,
     ref_multiplier,
     ref_operator,
-    residual_direct,
-    residual_from_basis,
     three_dim,
     vec_add,
-    vec_is_zero,
     vec_scale,
     vec_sub,
 )
@@ -105,24 +103,6 @@ def test_product_is_bilinear(x, y, z, c):
     lhs = mu.apply(z, vec_add(x, vec_scale(c, y)))
     rhs = vec_add(mu.apply(z, x), vec_scale(c, mu.apply(z, y)))
     assert lhs == rhs
-
-
-@given(vec3, vec3, vec3)
-@settings(max_examples=60)
-def test_oracles_agree_on_random_vectors(x, y, z):
-    # the trilinear combination of basis residuals must match the direct
-    # expansion through homogeneous components, for every axiom
-    A = three_dim()
-    for axiom in ("associativity", "jacobi", "leibniz"):
-        assert residual_from_basis(A, axiom, (x, y, z)) == residual_direct(A, axiom, (x, y, z))
-
-
-@given(vec3, vec3, vec3)
-@settings(max_examples=60)
-def test_certified_fixture_has_zero_residuals_everywhere(x, y, z):
-    A = three_dim()
-    for axiom in ("associativity", "jacobi", "leibniz"):
-        assert vec_is_zero(residual_direct(A, axiom, (x, y, z)))
 
 
 def _permuted(A, perm):
@@ -297,10 +277,6 @@ def _perturbed(draw, A):
     i, j, k = draw(st.sampled_from(slots))
     p = getattr(A, name)
     return A.replace(**{name: BilinearProduct(A.basis, p.entries + ((i, j, k, draw(nonzero)),))})
-
-
-def _plain(reports):
-    return [(r.axiom, [(v.indices, v.lhs, v.rhs) for v in r.violations]) for r in reports]
 
 
 @given(st.one_of(transported_fixtures(), random_algebras()), st.data())
