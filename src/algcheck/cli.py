@@ -65,7 +65,7 @@ def cmd_validate(args):
 
 def cmd_check_operator(args):
     doc = _load(args.path)
-    operator = _named(doc.operators, "operator", args.name, args.path)
+    operator = _operator(doc, args)
     weight = document.parse_rational(args.weight, "--weight") if args.weight is not None else None
     claim = operators.OperatorClaim(operator, args.kind, power=args.power, weight=weight)
     reports = operators.check_operator(doc.algebra, claim, products=args.product)
@@ -78,10 +78,10 @@ def _summary(reports):
     )
 
 
-def _named(entries, kind, name, location=None):
+def _named(entries, kind, name, location):
     """entries[name], the document's `kind` (operator or multiplier) of that
-    name: a usage error when no name was given, unknown-`kind` when the
-    document has no such entry."""
+    name: a usage error when no name was given, unknown-`kind` at the
+    document's path `location` when it has no such entry."""
     if name is None:
         raise errors.DocumentError("usage", f"this construction needs --{kind}")
     if name not in entries:
@@ -90,13 +90,15 @@ def _named(entries, kind, name, location=None):
 
 
 def _operator(doc, args):
+    """The operator that twist's --operator, or check-operator's --name,
+    names: Id is the identity, any other name the document's entry."""
     if args.operator == "Id":
         return core.EvenLinearMap.identity(doc.algebra.basis)
-    return _named(doc.operators, "operator", args.operator)
+    return _named(doc.operators, "operator", args.operator, args.path)
 
 
 def _multiplier(doc, args):
-    return _named(doc.multipliers, "multiplier", args.multiplier)
+    return _named(doc.multipliers, "multiplier", args.multiplier, args.path)
 
 
 def _endomorphisms(doc, args):
@@ -234,7 +236,7 @@ def build_parser():
 
     p = sub.add_parser("check-operator", help="classify a named operator")
     p.add_argument("path")
-    p.add_argument("--name", required=True)
+    p.add_argument("--name", dest="operator", metavar="NAME", required=True)
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--power", type=_power_arg, default=0)
     p.add_argument("--weight")

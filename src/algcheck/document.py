@@ -2,8 +2,9 @@
 
 A document states each fact once and only facts the checker reads: a key
 repeated in one JSON object, an unknown field, an epsilon given both as a
-matrix and as a table, and a structure-constant cell listed twice are
-refused.
+matrix and as a table, a structure-constant cell listed twice and an
+operator `Id` other than the identity (the CLI reads the name `Id` as the
+identity) are refused.
 
 Canonical serialization sorts keys, sorts structure-constant triples
 lexicographically, reduces every rational and is byte-stable across
@@ -198,6 +199,8 @@ def parse_document(text):
     operators = {}
     for name, rows in sorted(_need(raw, "operators", dict, "operators", {}).items()):
         operators[name] = _matrix(basis, rows, f"operators.{name}")
+    if "Id" in operators and operators["Id"] != EvenLinearMap.identity(basis):
+        raise DocumentError("shape", "operator 'Id' must be the identity", "operators.Id")
     multipliers = {}
     for name, rows in sorted(_need(raw, "multipliers", dict, "multipliers", {}).items()):
         multipliers[name] = _table(group, rows, f"multipliers.{name}")

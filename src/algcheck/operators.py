@@ -34,6 +34,11 @@ MAX_SEARCH_SIZE = 200_000
 
 @record
 class OperatorClaim:
+    """The claim that `map` is an operator of `kind`.  A claim states only
+    what its kind's law reads: a Rota-Baxter claim has a weight, always,
+    and only centroid and averaging claims have a nonzero power k, the
+    alpha^k of their laws.  Any other weight or power is refused."""
+
     map: EvenLinearMap
     kind: str
     power: int = 0
@@ -50,6 +55,10 @@ class OperatorClaim:
         if not (0 <= self.power <= MAX_POWER):
             raise InvalidRepresentationError(
                 f"power must lie in [0, {MAX_POWER}], got {self.power}")
+        if self.weight is not None and self.kind != "rota-baxter":
+            raise InvalidRepresentationError(f"{self.kind} claims take no weight")
+        if self.power and self.kind not in ("centroid", "averaging"):
+            raise InvalidRepresentationError(f"{self.kind} claims take no power")
 
 
 def _deformed(p, claim, i, j):
@@ -110,15 +119,16 @@ def check_operator(A, claim, products="all"):
 def check_nijenhuis_transfer(A, N):
     """Gate: N is Nijenhuis for mu.  Then build the commutator bracket and
     check that N is Nijenhuis for the bracket as well."""
-    _gate(check_operator(A, OperatorClaim(N, "nijenhuis"), products="mu"),
+    claim = OperatorClaim(N, "nijenhuis")
+    _gate(check_operator(A, claim, products="mu"),
           "map is not a Nijenhuis operator for the product")
-    P = commutator_bracket(A)
-    return check_operator(P, OperatorClaim(N, "nijenhuis"), products="bracket")
+    return check_operator(commutator_bracket(A), claim, products="bracket")
 
 
 def search_diagonal_operators(A, kind, candidate_values, power=0, weight=None):
     """Enumerate diagonal even maps with entries from the candidate set and
-    return those passing check_operator, in deterministic order."""
+    return those passing check_operator, in deterministic order.  `power`
+    and `weight` are the claim's, refused as OperatorClaim refuses them."""
     if A.dim > MAX_SEARCH_DIM:
         raise SearchSpaceError(f"search limited to dimension {MAX_SEARCH_DIM}, got {A.dim}")
     candidates = sorted({_rational(c, "candidate values") for c in candidate_values})

@@ -221,12 +221,12 @@ class TestTwist:
         (["twist", fx("rb2dim_poisson"), "--construction", "nijenhuis"],
          "error: usage: this construction needs --operator\n"),
         (["twist", fx("rb2dim_poisson"), "--construction", "nijenhuis", "--operator", "nope"],
-         "error: unknown-operator: no operator named 'nope'\n"),
+         f"error: unknown-operator at {fx('rb2dim_poisson')}: no operator named 'nope'\n"),
         (["twist", fx("group_algebra_z2sq"), "--construction", "multiplier-sym"],
          "error: usage: this construction needs --multiplier\n"),
         (["twist", fx("group_algebra_z2sq"), "--construction", "multiplier-sym",
           "--multiplier", "nope"],
-         "error: unknown-multiplier: no multiplier named 'nope'\n"),
+         f"error: unknown-multiplier at {fx('group_algebra_z2sq')}: no multiplier named 'nope'\n"),
         (["check-operator", fx("rb2dim"), "--name", "nope", "--kind", "centroid"],
          f"error: unknown-operator at {fx('rb2dim')}: no operator named 'nope'\n"),
     ], ids=["missing-operator", "unknown-operator", "missing-multiplier", "unknown-multiplier",
@@ -439,6 +439,8 @@ def docs(tmp_path_factory):
         "two-epsilons": rb2dim_with(("epsilon", "table"), [["1", "1"], ["1", "-1"]]),
         "repeated-cell": edited("rb2dim", lambda raw: raw["mu"].append(raw["mu"][0][:3] + ["5"])),
         "repeated-key": rb2dim_text_with('"operators": {', '"R": [["5", "0"], ["0", "5"]], '),
+        "two-id": edited("example3_corrected", lambda raw: raw["operators"].update(
+            Id=[["2" if i == j else "0" for j in range(3)] for i in range(3)])),
     }.items():
         text = raw if isinstance(raw, str) else json.dumps(raw)
         (path / f"{name}.json").write_text(text, encoding="utf-8")
@@ -489,6 +491,17 @@ def validates(name):
     pytest.param(["validate", "{docs}/repeated-cell.json"], {}, 2, None, id="repeated-cell"),
     pytest.param(["check-operator", "{docs}/repeated-key.json", "--name", "R", "--kind",
                   "rota-baxter", "--weight", "1/2"], {}, 2, None, id="repeated-key"),
+    pytest.param(["check-operator", fx("rb2dim"), "--name", "R", "--kind", "centroid",
+                  "--weight", "5"], {}, 2, None, id="unread-weight"),
+    pytest.param(["check-operator", fx("rb2dim"), "--name", "R", "--kind", "nijenhuis",
+                  "--power", "1"], {}, 2, None, id="unread-power"),
+    pytest.param(["check-operator", fx("comm2"), "--name", "Id", "--kind", "centroid"], {}, 0,
+                 None, id="id-is-the-identity"),
+    pytest.param(["validate", "{docs}/two-id.json"], {}, 2, None, id="id-not-the-identity"),
+    pytest.param(["check-operator", "{docs}/two-id.json", "--name", "Id", "--kind", "centroid"],
+                 {}, 2, None, id="id-not-the-identity-check-operator"),
+    pytest.param(["twist", "{docs}/two-id.json", "--construction", "transport",
+                  "--operator", "Id"], {}, 2, None, id="id-not-the-identity-twist"),
 ])
 def test_entry_matches_main(tmp_path, monkeypatch, capsys, docs, argv, env, code, check):
     for key, value in env.items():

@@ -179,6 +179,13 @@ class TestParseErrors:
         self._expect(raw, "shape", f"{key}[{t}]",
                      f"shape at {key}[{t}]: cell ({i}, {j}, {k}) is already given at {key}[0]")
 
+    def test_id_is_the_identity(self):
+        # the CLI reads the name Id as the identity, so no other Id is read
+        raw = self._base()
+        raw["operators"]["Id"] = [["2", "0"], ["0", "2"]]
+        self._expect(raw, "shape", "operators.Id",
+                     "shape at operators.Id: operator 'Id' must be the identity")
+
     @pytest.mark.parametrize("prefix, entry, key", [
         ('"operators": {', '"R": [["5", "0"], ["0", "5"]], ', "R"),
         ("{", '"alpha": [["1", "0"], ["0", "1"]], ', "alpha"),
@@ -276,7 +283,8 @@ def test_hostile_values_keep_the_exit_code_contract(tmp_path_factory, site, valu
     path = str(doc)
     argvs = [["validate", path], ["validate", "--commutative", "--json", path],
              ["twist", path, "--construction", "transport", "--operator", "Id"]]
-    argvs += [["check-operator", path, "--name", name, "--kind", kind, "--weight", "1/2"]
+    argvs += [["check-operator", path, "--name", name, "--kind", kind]
+              + (["--weight", "1/2"] if kind == "rota-baxter" else [])
               for name in sorted(parsed.operators) for kind in KINDS]
     argvs += [["twist", path, "--construction", "multiplier-sym", "--multiplier", name]
               for name in sorted(parsed.multipliers)]

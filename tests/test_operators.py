@@ -38,10 +38,22 @@ class TestClaimValidation:
             OperatorClaim(EvenLinearMap.identity(rb2dim.basis), kind, weight=weight)
 
     @pytest.mark.parametrize("kind", ["nijenhuis", "centroid", "averaging"])
-    @pytest.mark.parametrize("weight", [None, 2, F(1, 2)], ids=["None", "int", "Fraction"])
-    def test_weight_accepted(self, rb2dim, kind, weight):
-        claim = OperatorClaim(EvenLinearMap.identity(rb2dim.basis), kind, weight=weight)
-        assert claim.weight == weight and (weight is None or type(claim.weight) is F)
+    @pytest.mark.parametrize("weight", [2, F(1, 2)], ids=["int", "Fraction"])
+    def test_unread_weight_refused(self, rb2dim, kind, weight):
+        # only a Rota-Baxter claim reads a weight
+        m = EvenLinearMap.identity(rb2dim.basis)
+        assert OperatorClaim(m, kind).weight is None
+        with pytest.raises(InvalidRepresentationError, match=f"^{kind} claims take no weight$"):
+            OperatorClaim(m, kind, weight=weight)
+
+    @pytest.mark.parametrize("kind, weight", [("rota-baxter", 1), ("nijenhuis", None)])
+    def test_unread_power_refused(self, rb2dim, kind, weight):
+        # only centroid and averaging claims read alpha^k
+        m = EvenLinearMap.identity(rb2dim.basis)
+        assert OperatorClaim(m, kind, power=0, weight=weight).power == 0
+        for power in (1, 4):
+            with pytest.raises(InvalidRepresentationError, match=f"^{kind} claims take no power$"):
+                OperatorClaim(m, kind, power=power, weight=weight)
 
     def test_power_bounds(self, rb2dim):
         m = EvenLinearMap.identity(rb2dim.basis)
@@ -220,6 +232,11 @@ class TestSearch:
     def test_claim_checked_without_candidates(self, rb2dim, kind):
         with pytest.raises(InvalidRepresentationError):
             search_diagonal_operators(rb2dim, kind, [])
+
+    @pytest.mark.parametrize("unread", [{"weight": 1}, {"power": 1}], ids=["weight", "power"])
+    def test_unread_parameter_refused(self, rb2dim, unread):
+        with pytest.raises(InvalidRepresentationError, match="^nijenhuis claims take no "):
+            search_diagonal_operators(rb2dim, "nijenhuis", [0, 1], **unread)
 
     def test_dimension_guard(self, rb2dim):
         g = rb2dim.group
