@@ -78,12 +78,17 @@ def _summary(reports):
     )
 
 
+def _given(args, option):
+    """--option's value: a usage error naming the construction when it was not given."""
+    value = getattr(args, option)
+    if value is None:
+        raise errors.DocumentError("usage", f"{args.construction} construction needs --{option}")
+    return value
+
+
 def _named(entries, kind, name, location):
     """entries[name], the document's `kind` (operator or multiplier) of that
-    name: a usage error when no name was given, unknown-`kind` at the
-    document's path `location` when it has no such entry."""
-    if name is None:
-        raise errors.DocumentError("usage", f"this construction needs --{kind}")
+    name, else unknown-`kind` at the document's path `location`."""
     if name not in entries:
         raise errors.DocumentError(f"unknown-{kind}", f"no {kind} named {name!r}", location)
     return entries[name]
@@ -92,13 +97,14 @@ def _named(entries, kind, name, location):
 def _operator(doc, args):
     """The operator that twist's --operator, or check-operator's --name,
     names: Id is the identity, any other name the document's entry."""
-    if args.operator == "Id":
+    name = _given(args, "operator")
+    if name == "Id":
         return core.EvenLinearMap.identity(doc.algebra.basis)
-    return _named(doc.operators, "operator", args.operator, args.path)
+    return _named(doc.operators, "operator", name, args.path)
 
 
 def _multiplier(doc, args):
-    return _named(doc.multipliers, "multiplier", args.multiplier, args.path)
+    return _named(doc.multipliers, "multiplier", _given(args, "multiplier"), args.path)
 
 
 def _endomorphisms(doc, args):
@@ -109,15 +115,11 @@ def _endomorphisms(doc, args):
 
 
 def _xi(doc, args):
-    if args.xi is None:
-        raise errors.DocumentError("usage", "xi construction needs --xi c0,c1,...")
-    return tuple(document.parse_rational(c.strip(), "--xi") for c in args.xi.split(","))
+    return tuple(document.parse_rational(c.strip(), "--xi") for c in _given(args, "xi").split(","))
 
 
 def _weight(doc, args):
-    if args.weight is None:
-        raise errors.DocumentError("usage", "rota-baxter construction needs --weight")
-    return document.parse_rational(args.weight, "--weight")
+    return document.parse_rational(_given(args, "weight"), "--weight")
 
 
 def _power(doc, args):
@@ -125,15 +127,14 @@ def _power(doc, args):
 
 
 def _second(doc, args):
-    if args.second is None:
-        raise errors.DocumentError("usage", "tensor construction needs --second FILE")
-    return _load(args.second).algebra
+    return _load(_given(args, "second")).algebra
 
 
 # construction name -> (function in algcheck.constructions, readers of the
 # arguments after the input algebra).  The function is looked up by name at
 # call time, so a wrapper installed on the module is the one that runs.  The
-# reader _x reads the option --x, and twist accepts no other such option.
+# reader _x reads the option --x, which every reader but _power requires
+# (_given); twist accepts no other such option.
 CONSTRUCTIONS = {
     "xi": ("xi_twist", (_xi,)),
     "multiplier-sym": ("multiplier_twist_symmetric", (_multiplier,)),
@@ -164,14 +165,12 @@ def _construction(args):
 
 def _write_result(doc, args, result):
     """Write the output document to -o, else to stdout; with --json and no
-    -o, return it as the payload field "document" instead."""
-    metadata = dict(doc.metadata)
-    metadata["construction"] = args.construction
-    metadata["certification"] = _summary(result.certification)
-    if result.morphism:
-        metadata["morphism"] = _summary(result.morphism)
-    if result.findings:
-        metadata["findings"] = _summary(result.findings)
+    -o, return it as the payload field "document" instead.  Its metadata
+    keeps the input's, but of the evidence keys only this construction's."""
+    evidence = {"construction": args.construction, "certification": _summary(result.certification),
+                "morphism": _summary(result.morphism), "findings": _summary(result.findings)}
+    metadata = {k: v for k, v in doc.metadata.items() if k not in evidence}
+    metadata.update((k, v) for k, v in evidence.items() if v)
     out_doc = document.AlgebraDocument(
         name=f"{doc.name}#{args.construction}" if doc.name else args.construction,
         algebra=result.algebra,

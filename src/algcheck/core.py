@@ -272,8 +272,9 @@ class GradedAlgebra:
     def eps(self):
         """Row i, column j is the commutation factor between the degrees
         of basis indices i and j."""
-        degs, value = self.basis.degrees, self.epsilon.value
-        return tuple(tuple(value(a, b) for b in degs) for a in degs)
+        at = list(map(self.group.index, self.basis.degrees))
+        values = self.epsilon.values
+        return tuple(tuple(values[i][j] for j in at) for i in at)
 
     @cached_property
     def _ints(self):

@@ -24,7 +24,7 @@ from .errors import (
     EvennessError,
     InvalidRepresentationError,
 )
-from .grading import _INTEGER, GroupSpec, MultiplierTable, SignBicharacter, _is_int
+from .grading import _INTEGER, GroupSpec, MultiplierTable, SignBicharacter, _is_int, _rational
 from .report import _text
 
 _RATIONAL = re.compile(_INTEGER.pattern + r"(?:/[0-9]+)?")  # ASCII digits only
@@ -49,7 +49,7 @@ def parse_rational(value, location=None):
 
 
 def format_rational(x):
-    return _text(Fraction(x))
+    return _text(_rational(x, "written rationals"))
 
 
 @record

@@ -140,6 +140,9 @@ class GroupSpec:
         return list(self._els)
 
     def index(self, a):
+        """a's place in canonical element order; a ShapeError unless a is canonical."""
+        if not self.is_canonical(a):
+            raise ShapeError(f"{a!r} is not a canonical element of the group")
         i = 0
         for c, m in zip(a, self.moduli):
             i = i * m + c

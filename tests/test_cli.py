@@ -201,37 +201,30 @@ class TestTwist:
                      "--xi", "2,0", "-o", str(out)]) == 0
         assert main(["validate", str(out)]) == 0
 
-    @pytest.mark.parametrize("path, args", [
-        ("rb2dim_poisson", ["--construction", "rota-baxter", "--operator", "R"]),
-        ("rb2dim_poisson", ["--construction", "nijenhuis"]),
-        ("rb2dim_poisson", ["--construction", "nijenhuis", "--operator", "nope"]),
-        ("group_algebra_z2sq", ["--construction", "multiplier-sym"]),
-        ("group_algebra_z2sq", ["--construction", "multiplier-sym", "--multiplier", "nope"]),
-        ("group_algebra_z2", ["--construction", "xi"]),
-        ("comm2", ["--construction", "tensor"]),
-        ("rb2dim_poisson", ["--construction", "warp", "--operator", "R"]),
-    ], ids=["missing-weight", "missing-operator", "unknown-operator", "missing-multiplier",
-            "unknown-multiplier", "missing-xi", "missing-second", "unknown-construction"])
-    def test_usage_errors(self, capsys, path, args):
-        assert main(["twist", fx(path)] + args) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and captured.out == ""
-
     @pytest.mark.parametrize("argv, err", [
+        (["twist", fx("rb2dim_poisson"), "--construction", "rota-baxter", "--operator", "R"],
+         "error: usage: rota-baxter construction needs --weight\n"),
         (["twist", fx("rb2dim_poisson"), "--construction", "nijenhuis"],
-         "error: usage: this construction needs --operator\n"),
+         "error: usage: nijenhuis construction needs --operator\n"),
         (["twist", fx("rb2dim_poisson"), "--construction", "nijenhuis", "--operator", "nope"],
          f"error: unknown-operator at {fx('rb2dim_poisson')}: no operator named 'nope'\n"),
         (["twist", fx("group_algebra_z2sq"), "--construction", "multiplier-sym"],
-         "error: usage: this construction needs --multiplier\n"),
+         "error: usage: multiplier-sym construction needs --multiplier\n"),
         (["twist", fx("group_algebra_z2sq"), "--construction", "multiplier-sym",
           "--multiplier", "nope"],
          f"error: unknown-multiplier at {fx('group_algebra_z2sq')}: no multiplier named 'nope'\n"),
+        (["twist", fx("group_algebra_z2"), "--construction", "xi"],
+         "error: usage: xi construction needs --xi\n"),
+        (["twist", fx("comm2"), "--construction", "tensor"],
+         "error: usage: tensor construction needs --second\n"),
+        (["twist", fx("rb2dim_poisson"), "--construction", "warp", "--operator", "R"],
+         "error: unknown-construction: no construction named 'warp'\n"),
         (["check-operator", fx("rb2dim"), "--name", "nope", "--kind", "centroid"],
          f"error: unknown-operator at {fx('rb2dim')}: no operator named 'nope'\n"),
-    ], ids=["missing-operator", "unknown-operator", "missing-multiplier", "unknown-multiplier",
+    ], ids=["missing-weight", "missing-operator", "unknown-operator", "missing-multiplier",
+            "unknown-multiplier", "missing-xi", "missing-second", "unknown-construction",
             "check-operator-unknown-name"])
-    def test_named_entry_errors(self, capsys, argv, err):
+    def test_usage_errors(self, capsys, argv, err):
         assert main(argv) == 2
         assert capsys.readouterr() == ("", err)
 
@@ -431,7 +424,7 @@ def run_entry(argv, stdout=subprocess.PIPE, unbuffered=False):
 @pytest.fixture(scope="module")
 def docs(tmp_path_factory):
     """A directory of fixture copies with one change each, as JSON values or
-    as text."""
+    as text, and rb-twist.json, the output of RB_TWIST."""
     path = tmp_path_factory.mktemp("docs")
     for name, raw in {
         "bracket-only": edited("rb2dim_poisson", lambda raw: raw.pop("mu")),
@@ -441,15 +434,27 @@ def docs(tmp_path_factory):
         "repeated-key": rb2dim_text_with('"operators": {', '"R": [["5", "0"], ["0", "5"]], '),
         "two-id": edited("example3_corrected", lambda raw: raw["operators"].update(
             Id=[["2" if i == j else "0" for j in range(3)] for i in range(3)])),
+        "zero-modulus": rb2dim_with(("group", "moduli"), [0]),
     }.items():
         text = raw if isinstance(raw, str) else json.dumps(raw)
         (path / f"{name}.json").write_text(text, encoding="utf-8")
+    assert main(RB_TWIST + ["-o", str(path / "rb-twist.json")]) == 0
     return path
 
 
 def names_bound(done, out):
     """A row check: the error names the variable, not a document."""
     return done.stderr.startswith(f"error: {BOUND} must be ".encode())
+
+
+def records_its_own_evidence(done, out):
+    """A row check: a twist of RB_TWIST's output keeps the input's lambda,
+    but not the morphism summary that only RB_TWIST recorded."""
+    metadata = parse_document((out / "t.json").read_text(encoding="utf-8")).metadata
+    return metadata == {
+        "certification": "hom-associativity=PASS;epsilon-skew-symmetry=PASS;hom-jacobi=PASS;"
+                         "hom-leibniz=PASS",
+        "construction": "averaging-pair", "lambda": "1/2"}
 
 
 def validates(name):
@@ -502,6 +507,13 @@ def validates(name):
                  {}, 2, None, id="id-not-the-identity-check-operator"),
     pytest.param(["twist", "{docs}/two-id.json", "--construction", "transport",
                   "--operator", "Id"], {}, 2, None, id="id-not-the-identity-twist"),
+    pytest.param(["twist", "{docs}/rb-twist.json", "--construction", "averaging-pair",
+                  "--operator", "Id", "-o", "{out}/t.json"], {}, 0, records_its_own_evidence,
+                 id="twist-of-a-twist"),
+    pytest.param(["validate", "{docs}/zero-modulus.json"], {}, 2,
+                 lambda done, out: done.stderr == b"error: shape at group.moduli: "
+                                                  b"cyclic factor sizes must be >= 1: (0,)\n",
+                 id="zero-modulus"),
 ])
 def test_entry_matches_main(tmp_path, monkeypatch, capsys, docs, argv, env, code, check):
     for key, value in env.items():

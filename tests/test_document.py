@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from algcheck import (
     DocumentError,
+    InvalidRepresentationError,
     format_rational,
     parse_document,
     parse_rational,
@@ -54,6 +55,12 @@ class TestRational:
     def test_format_reduces(self):
         assert format_rational(F(4, 8)) == "1/2"
         assert format_rational(F(-3)) == "-3"
+
+    @pytest.mark.parametrize("x", [0.1, True, "3/6"])
+    def test_format_refuses_what_is_not_an_exact_rational(self, x):
+        with pytest.raises(InvalidRepresentationError) as exc:
+            format_rational(x)
+        assert str(exc.value) == f"written rationals must be integers or Fractions, got {x!r}"
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)

@@ -66,6 +66,12 @@ class TestGroup:
         with pytest.raises(InvalidRepresentationError):
             GroupSpec((2, modulus))
 
+    @pytest.mark.parametrize("moduli", [(0,), (2, -1)])
+    def test_modulus_below_one_rejected(self, moduli):
+        with pytest.raises(InvalidRepresentationError) as exc:
+            GroupSpec(moduli)
+        assert str(exc.value) == f"cyclic factor sizes must be >= 1: {moduli}"
+
 
 class TestBicharacter:
     def test_sign_on_z2(self):
@@ -103,6 +109,15 @@ class TestBicharacter:
     def test_integer_exponents_reduce_mod_2(self):
         e = SignBicharacter(Z2SQ, ((3, -2), (4, -1)))
         assert e.matrix == ((1, 0), (0, 1))
+
+    @pytest.mark.parametrize("a, b, bad", [
+        ((0, 2), (1, 0), (0, 2)), ((0, 0), (1,), (1,)), ((2, 0), (0, 0), (2, 0))],
+        ids=["second-past-modulus", "short-tuple", "first-past-modulus"])
+    def test_value_outside_the_group_is_a_shape_error(self, a, b, bad):
+        e = SignBicharacter(Z2SQ, ((1, 0), (0, 1)))
+        with pytest.raises(ShapeError) as exc:
+            e.value(a, b)
+        assert str(exc.value) == f"{bad!r} is not a canonical element of the group"
 
     def test_remark_consequences(self):
         e = SignBicharacter(Z2SQ, ((1, 1), (1, 0)))

@@ -106,3 +106,15 @@ def test_library_search_loads_no_cli():
     layers, imported = executed(code)
     assert "operators" in layers and "constructions" not in layers
     assert imported == ["json"]
+
+
+def test_reload_keeps_each_executed_layer_and_public_name(monkeypatch):
+    public = {name: getattr(algcheck, name) for name in PUBLIC}  # runs every layer
+    layers = {m: sys.modules[f"algcheck.{m}"] for m in LAYERS}
+    # reload rebinds every global of the package (KINDS to an equal new
+    # tuple); monkeypatch puts the originals back afterwards
+    for name, value in list(vars(algcheck).items()):
+        monkeypatch.setattr(algcheck, name, value)
+    importlib.reload(algcheck)
+    assert all(sys.modules[f"algcheck.{m}"] is getattr(algcheck, m) is layers[m] for m in LAYERS)
+    assert all(getattr(algcheck, name) is obj for name, obj in public.items())
