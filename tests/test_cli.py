@@ -201,30 +201,56 @@ class TestTwist:
                      "--xi", "2,0", "-o", str(out)]) == 0
         assert main(["validate", str(out)]) == 0
 
-    @pytest.mark.parametrize("argv, err", [
-        (["twist", fx("rb2dim_poisson"), "--construction", "rota-baxter", "--operator", "R"],
-         "error: usage: rota-baxter construction needs --weight\n"),
-        (["twist", fx("rb2dim_poisson"), "--construction", "nijenhuis"],
-         "error: usage: nijenhuis construction needs --operator\n"),
-        (["twist", fx("rb2dim_poisson"), "--construction", "nijenhuis", "--operator", "nope"],
-         f"error: unknown-operator at {fx('rb2dim_poisson')}: no operator named 'nope'\n"),
-        (["twist", fx("group_algebra_z2sq"), "--construction", "multiplier-sym"],
-         "error: usage: multiplier-sym construction needs --multiplier\n"),
-        (["twist", fx("group_algebra_z2sq"), "--construction", "multiplier-sym",
-          "--multiplier", "nope"],
-         f"error: unknown-multiplier at {fx('group_algebra_z2sq')}: no multiplier named 'nope'\n"),
-        (["twist", fx("group_algebra_z2"), "--construction", "xi"],
-         "error: usage: xi construction needs --xi\n"),
-        (["twist", fx("comm2"), "--construction", "tensor"],
-         "error: usage: tensor construction needs --second\n"),
-        (["twist", fx("rb2dim_poisson"), "--construction", "warp", "--operator", "R"],
-         "error: unknown-construction: no construction named 'warp'\n"),
-        (["check-operator", fx("rb2dim"), "--name", "nope", "--kind", "centroid"],
-         f"error: unknown-operator at {fx('rb2dim')}: no operator named 'nope'\n"),
-    ], ids=["missing-weight", "missing-operator", "unknown-operator", "missing-multiplier",
-            "unknown-multiplier", "missing-xi", "missing-second", "unknown-construction",
-            "check-operator-unknown-name"])
-    def test_usage_errors(self, capsys, argv, err):
+    # Each refused argv with its exact stderr, by the id the tables below use.
+    ERRORS = {
+        "missing-weight": (
+            ["twist", fx("rb2dim_poisson"), "--construction", "rota-baxter", "--operator", "R"],
+            "error: usage: rota-baxter construction needs --weight\n"),
+        "missing-operator": (
+            ["twist", fx("rb2dim_poisson"), "--construction", "nijenhuis"],
+            "error: usage: nijenhuis construction needs --operator\n"),
+        "unknown-operator": (
+            ["twist", fx("rb2dim_poisson"), "--construction", "nijenhuis", "--operator", "nope"],
+            f"error: unknown-operator at {fx('rb2dim_poisson')}: no operator named 'nope'\n"),
+        "missing-multiplier": (
+            ["twist", fx("group_algebra_z2sq"), "--construction", "multiplier-sym"],
+            "error: usage: multiplier-sym construction needs --multiplier\n"),
+        "unknown-multiplier": (
+            ["twist", fx("group_algebra_z2sq"), "--construction", "multiplier-sym",
+             "--multiplier", "nope"],
+            f"error: unknown-multiplier at {fx('group_algebra_z2sq')}: "
+            "no multiplier named 'nope'\n"),
+        "missing-xi": (
+            ["twist", fx("group_algebra_z2"), "--construction", "xi"],
+            "error: usage: xi construction needs --xi\n"),
+        "missing-second": (
+            ["twist", fx("comm2"), "--construction", "tensor"],
+            "error: usage: tensor construction needs --second\n"),
+        "unknown-construction": (
+            ["twist", fx("rb2dim_poisson"), "--construction", "warp", "--operator", "R"],
+            "error: unknown-construction: no construction named 'warp'\n"),
+        "check-operator-unknown-name": (
+            ["check-operator", fx("rb2dim"), "--name", "nope", "--kind", "centroid"],
+            f"error: unknown-operator at {fx('rb2dim')}: no operator named 'nope'\n"),
+    }
+
+    @pytest.mark.parametrize("case", [
+        "missing-weight", "missing-operator", "unknown-operator", "missing-multiplier",
+        "unknown-multiplier", "missing-xi", "missing-second", "unknown-construction"])
+    def test_usage_errors(self, capsys, case):
+        """Every twist option a construction needs, and the construction
+        name itself, is refused with exit 2 and one exact message."""
+        argv, err = self.ERRORS[case]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize("case", [
+        "missing-operator", "unknown-operator", "missing-multiplier", "unknown-multiplier",
+        "check-operator-unknown-name"])
+    def test_named_entry_errors(self, capsys, case):
+        """A named operator or multiplier, absent or not in the document, is
+        refused the same way by every subcommand that reads one."""
+        argv, err = self.ERRORS[case]
         assert main(argv) == 2
         assert capsys.readouterr() == ("", err)
 
