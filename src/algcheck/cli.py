@@ -115,7 +115,7 @@ def _endomorphisms(doc, args):
 
 
 def _xi(doc, args):
-    return tuple(document.parse_rational(c.strip(), "--xi") for c in _given(args, "xi").split(","))
+    return tuple(document.parse_rational(c, "--xi") for c in _given(args, "xi").split(","))
 
 
 def _weight(doc, args):

@@ -2,8 +2,10 @@
 
 Every construction gates its hypotheses first (raising HypothesisError
 with the offending reports), builds the new algebra, then re-certifies
-the output exhaustively.  Every construction but `xi_twist`, whose laws
-do not read eps, gates the commutation factor on the bicharacter laws.
+the output exhaustively.  Every construction but `xi_twist`, whose gates
+do not read eps, gates the commutation factor on the bicharacter laws in
+`_gate_factor`, which first refuses an input without mu or bracket and a
+map on another basis.
 Outputs always carry their certification reports; a construction never
 silently emits an unchecked algebra.
 
@@ -22,11 +24,13 @@ from .core import (
     EvenLinearMap,
     GradedAlgebra,
     GradedBasis,
+    _axioms,
     _combined,
     _gate,
     _mapped,
     _pair,
     _product,
+    _require,
     _tabulated,
     check_epsilon_commutative,
     check_hom_associative,
@@ -76,14 +80,17 @@ def _rebuilt(P, product, names=("mu", "bracket"), **replace):
     return P.replace(**replace)
 
 
-def _gate_factor(P):
-    """Gate P's commutation factor on the bicharacter laws."""
+def _gate_factor(P, *maps):
+    """Refuse a missing product or a map on another basis, then gate P's commutation factor."""
+    _require(P, "mu", "bracket")
+    if any(f.basis != P.basis for f in maps):
+        raise ShapeError("map basis differs from algebra basis")
     _gate(validate_bicharacter(P.epsilon), "commutation factor is not a bicharacter")
 
 
-def _gate_input(P):
-    """Gate P's commutation factor, then P's Hom-Poisson axioms."""
-    _gate_factor(P)
+def _gate_input(P, *maps):
+    """_gate_factor(P, *maps), then P's Hom-Poisson axioms."""
+    _gate_factor(P, *maps)
     _gate(check_hom_poisson(P), "input is not a Hom-Poisson color algebra")
 
 
@@ -98,7 +105,8 @@ def _rescaled(s, p, i, j):
 def xi_twist(A, xi):
     """New product x *_xi y = x xi y on an algebra that is both plainly
     associative and Hom-associative.  xi must be homogeneous of degree 0
-    so the new product stays even."""
+    so the new product stays even.  A nonzero bracket is kept as it is,
+    so the output is then certified on every axiom, Hom-Leibniz included."""
     if len(xi) != A.dim:
         raise ShapeError("xi has the wrong length")
     degs, zero = A.basis.degrees, A.group.zero
@@ -110,7 +118,8 @@ def xi_twist(A, xi):
     _gate([check_hom_associative(A)], "product is not Hom-associative")
     out = _rebuilt(A, lambda mu, i, j: _product(mu, _product(mu, {i: ONE}, xi), {j: ONE}),
                    names=("mu",))
-    return ConstructionResult(out, certification=[check_hom_associative(out)])
+    kept = A.bracket is not None and A.bracket.entries
+    return ConstructionResult(out, certification=_axioms(out) if kept else [check_hom_associative(out)])
 
 
 def multiplier_twist_symmetric(P, s):
@@ -132,7 +141,7 @@ def multiplier_twist_delta(P, s, endomorphisms=()):
     if s.group != P.group:
         raise ShapeError("multiplier group differs from algebra group")
     _gate(validate_multiplier(s), "multiplier fails the cocycle gate")
-    _gate_input(P)
+    _gate_input(P, *endomorphisms)
     delta = delta_from_multiplier(s)
     if all(v == 1 for row in delta.values for v in row):
         factor = P.epsilon  # sigma symmetric: keep the original representation
@@ -150,10 +159,8 @@ def transport_along_bijection(Pp, f):
     """Pull the structure of Pp back along an invertible even map:
     x . y = f^-1(f(x) .' f(y)), likewise for the bracket, and
     alpha = f^-1 alpha' f.  f becomes a morphism onto Pp."""
-    if f.basis != Pp.basis:
-        raise ShapeError("map basis differs from algebra basis")
     finv, fc = f.inverse(), f._columns
-    _gate_factor(Pp)
+    _gate_factor(Pp, f)
     out = _rebuilt(Pp, lambda p, i, j: _mapped(finv, _product(p, fc[i], fc[j])),
                    alpha=finv.compose(Pp.alpha).compose(f))
     return ConstructionResult(out, certification=check_hom_poisson(out),
@@ -167,7 +174,7 @@ def centroid_twist(P, b):
     code.  The source theorem's proof is absent, so the morphism claim
     (beta from the twist onto the input) is recorded in `findings` rather
     than asserted."""
-    _gate_input(P)
+    _gate_input(P, b)
     _gate(check_operator(P, OperatorClaim(b, "centroid")), "map is not a centroid element")
     bc = b._columns
     out = _rebuilt(P, lambda p, i, j: _product(p, bc[i], {j: ONE}), names=("bracket",))
@@ -178,7 +185,7 @@ def centroid_twist(P, b):
 def averaging_twist_pairwise(P, b):
     """x * y = beta(x) . beta(y), {x, y} = [beta(x), beta(y)] for an
     averaging operator beta (k = 0); same alpha."""
-    _gate_input(P)
+    _gate_input(P, b)
     _gate(check_operator(P, OperatorClaim(b, "averaging")), "map is not an averaging operator")
     bc = b._columns
     out = _rebuilt(P, lambda p, i, j: _product(p, bc[i], bc[j]))
@@ -195,8 +202,7 @@ def averaging_twist_untwisted(P, b):
     verdict is the evidence rather than an assumed property."""
     if P.alpha != EvenLinearMap.identity(P.basis):
         raise HypothesisError("this construction starts from an untwisted algebra (alpha = id)", [])
-    _gate_factor(P)
-    _gate(check_hom_poisson(P), "input is not a Poisson color algebra")
+    _gate_input(P, b)
     _gate(check_operator(P, OperatorClaim(b, "averaging")), "map is not an averaging operator")
     bc = b._columns
     out = _rebuilt(P, lambda p, i, j: _product(p, bc[i], {j: ONE}), alpha=b)
@@ -207,9 +213,9 @@ def averaging_twist_power(P, b, k):
     """x * y = beta(x) . alpha^k(y), likewise for the bracket, for a
     bijective alpha^k-averaging operator beta; same alpha.  beta is a
     morphism from the twist onto the input."""
-    b.inverse()  # raises SingularMapError when not bijective
     claim = OperatorClaim(b, "averaging", power=k)  # checks k before any sweep
-    _gate_input(P)
+    b.inverse()  # raises SingularMapError when not bijective
+    _gate_input(P, b)
     _gate(check_operator(P, claim), f"map is not an alpha^{k}-averaging operator")
     bc, ak = b._columns, P.alpha.power(k)._columns
     out = _rebuilt(P, lambda p, i, j: _product(p, bc[i], ak[j]))
@@ -222,7 +228,7 @@ def nijenhuis_twist(P, N):
     shape for the bracket; same alpha and commutation factor.  N is a
     morphism from the twist onto the input."""
     claim = OperatorClaim(N, "nijenhuis")
-    _gate_input(P)
+    _gate_input(P, N)
     _gate(check_operator(P, claim), "map is not a Nijenhuis operator")
     out = _rebuilt(P, lambda p, i, j: _deformed(p, claim, i, j))
     return ConstructionResult(out, certification=check_hom_poisson(out),
@@ -234,7 +240,7 @@ def rota_baxter_twist(P, R, weight):
     for a Rota-Baxter operator R of that weight; same alpha.  R is a
     morphism from the twist onto the input."""
     claim = OperatorClaim(R, "rota-baxter", weight=weight)  # checks the weight before any sweep
-    _gate_input(P)
+    _gate_input(P, R)
     _gate(check_operator(P, claim), "map is not a Rota-Baxter operator of this weight")
     out = _rebuilt(P, lambda p, i, j: _deformed(p, claim, i, j))
     return ConstructionResult(out, certification=check_hom_poisson(out),

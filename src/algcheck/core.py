@@ -50,13 +50,13 @@ class GradedBasis:
     degrees: tuple
 
     def __post_init__(self):
-        degs = tuple(tuple(d) for d in self.degrees)
+        degs = tuple(self.degrees)
         if not degs:
             raise ShapeError("basis must have dimension >= 1")
         for d in degs:
             if not self.group.is_canonical(d):
-                raise ShapeError(f"degree {d} is not canonical for the group")
-        object.__setattr__(self, "degrees", degs)
+                raise ShapeError(f"degree {d!r} is not canonical for the group")
+        object.__setattr__(self, "degrees", tuple(map(tuple, degs)))
 
     @property
     def dim(self):

@@ -126,8 +126,8 @@ class GroupSpec:
         return (0,) * self.rank
 
     def is_canonical(self, coords):
-        """coords has one int (not a bool) per factor, in [0, m_i)."""
-        return len(coords) == self.rank and all(
+        """coords is a tuple or list of one int (not a bool) per factor, in [0, m_i)."""
+        return isinstance(coords, (tuple, list)) and len(coords) == self.rank and all(
             _is_int(c) and 0 <= c < m for c, m in zip(coords, self.moduli))
 
     def add(self, a, b):

@@ -38,6 +38,16 @@ OPTION_VALUES = {"operator": "R", "multiplier": "sigma", "weight": "1", "power":
                  "second": "other.json"}
 
 
+# the upper-triangular 2x2 matrices e11, e12, e22, all of degree 0 over Z_2,
+# with alpha = id and their commutator bracket: a Poisson algebra
+UPPER_TRIANGULAR = {
+    "name": "ut2", "group": {"moduli": [2]}, "basis": {"degrees": [[0], [0], [0]]},
+    "epsilon": {"matrix": [[0]]}, "alpha": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "mu": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 2, 1, "1"], [2, 2, 2, "1"]],
+    "bracket": [[0, 1, 1, "1"], [1, 0, 1, "-1"], [1, 2, 1, "1"], [2, 1, 1, "-1"]],
+}
+
+
 def written(tmp_path, raw):
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(raw), encoding="utf-8")
@@ -264,10 +274,14 @@ class TestTwist:
         ("example3_corrected",
          ["check-operator", "--name", "Id", "--kind", "nijenhuis", "--power", "-5"],
          "error: power must lie in [0, 4], got -5\n"),
-    ], ids=["averaging-power", "transport", "nijenhuis-power"])
+        ("group_algebra_z2",
+         ["twist", "--construction", "averaging-power", "--operator", "proj", "--power", "5"],
+         "error: power must lie in [0, 4], got 5\n"),
+    ], ids=["averaging-power", "transport", "nijenhuis-power", "averaging-power-singular"])
     def test_argument_errors_come_before_the_gates(self, tmp_path, capsys, raw, argv, message):
-        # both twist inputs fail their gate; the bad argument is reported
-        # first.  The power bound holds for every operator kind.
+        # the first two twist inputs fail their gate; the bad argument is
+        # reported first.  The power bound holds for every operator kind,
+        # and is read before a singular map (proj) is refused.
         path = fx(raw) if isinstance(raw, str) else written(tmp_path, raw)
         command, *args = argv
         assert main([command, path, *args]) == 2
@@ -461,6 +475,8 @@ def docs(tmp_path_factory):
         "two-id": edited("example3_corrected", lambda raw: raw["operators"].update(
             Id=[["2" if i == j else "0" for j in range(3)] for i in range(3)])),
         "zero-modulus": rb2dim_with(("group", "moduli"), [0]),
+        "upper-triangular": UPPER_TRIANGULAR,
+        "no-mu-non-bicharacter": {k: v for k, v in NON_BICHARACTER[0].values[0].items() if k != "mu"},
     }.items():
         text = raw if isinstance(raw, str) else json.dumps(raw)
         (path / f"{name}.json").write_text(text, encoding="utf-8")
@@ -481,6 +497,16 @@ def records_its_own_evidence(done, out):
         "certification": "hom-associativity=PASS;epsilon-skew-symmetry=PASS;hom-jacobi=PASS;"
                          "hom-leibniz=PASS",
         "construction": "averaging-pair", "lambda": "1/2"}
+
+
+def certifies_the_kept_bracket(done, out):
+    """A row check: xi keeps the upper-triangular matrices' bracket, and
+    the output's certification is Hom-Leibniz's located failure."""
+    metadata = parse_document((out / "x.json").read_text(encoding="utf-8")).metadata
+    return done.stdout.endswith(b"FAIL hom-leibniz: 1 violation(s); first at (1, 0, 2): "
+                                b"lhs=(0, 0, 0), rhs=(0, -1, 0)\n") and metadata == {
+        "certification": "hom-associativity=PASS;epsilon-skew-symmetry=PASS;hom-jacobi=PASS;"
+                         "hom-leibniz=FAIL(1)", "construction": "xi"}
 
 
 def validates(name):
@@ -540,6 +566,17 @@ def validates(name):
                  lambda done, out: done.stderr == b"error: shape at group.moduli: "
                                                   b"cyclic factor sizes must be >= 1: (0,)\n",
                  id="zero-modulus"),
+    pytest.param(["validate", "{docs}/upper-triangular.json"], {}, 0, None, id="upper-triangular"),
+    pytest.param(["twist", "{docs}/upper-triangular.json", "--construction", "xi", "--xi", "1,0,2",
+                  "-o", "{out}/x.json"], {}, 1, certifies_the_kept_bracket, id="xi-keeps-the-bracket"),
+    pytest.param(["twist", fx("group_algebra_z2"), "--construction", "xi", "--xi", " 2 , 0 "], {}, 2,
+                 lambda done, out: done.stderr == b"error: bad-rational at --xi: "
+                                                  b"not an exact rational: ' 2 '\n",
+                 id="xi-whitespace"),
+    pytest.param(["twist", "{docs}/no-mu-non-bicharacter.json", "--construction", "transport",
+                  "--operator", "Id"], {}, 2,
+                 lambda done, out: done.stderr == b"error: algebra has no mu\n",
+                 id="missing-product-before-the-gate"),
 ])
 def test_entry_matches_main(tmp_path, monkeypatch, capsys, docs, argv, env, code, check):
     for key, value in env.items():

@@ -9,13 +9,16 @@ from algcheck import (
     HypothesisError,
     IncompatibilityError,
     InvalidRepresentationError,
+    MissingComponentError,
     MultiplierTable,
     ShapeError,
     SingularMapError,
+    all_ok,
     averaging_twist_pairwise,
     averaging_twist_power,
     averaging_twist_untwisted,
     centroid_twist,
+    check_hom_poisson,
     multiplier_twist_delta,
     multiplier_twist_symmetric,
     nijenhuis_twist,
@@ -112,7 +115,7 @@ class TestMultiplierDelta:
 
     def test_map_on_another_basis_refused(self, example3):
         # the same dimension and group as example3, but not its basis
-        with pytest.raises(ShapeError, match="morphism check needs a common basis"):
+        with pytest.raises(ShapeError, match="map basis differs from algebra basis"):
             multiplier_twist_delta(example3, MultiplierTable.constant(example3.group, 2),
                                    endomorphisms=[SWAP_ON_OTHER_BASIS])
 
@@ -150,6 +153,40 @@ class TestTransport:
         P = parse_document(json.dumps(NON_BICHARACTER[0].values[0])).algebra
         with pytest.raises(SingularMapError):
             transport_along_bijection(P, EvenLinearMap.diagonal(P.basis, (0,)))
+
+
+# every construction that takes a map, given the map f on the input P
+MAP_TAKERS = {
+    "transport": transport_along_bijection,
+    "centroid": centroid_twist,
+    "averaging-pair": averaging_twist_pairwise,
+    "averaging-untwisted": averaging_twist_untwisted,
+    "averaging-power": lambda P, f: averaging_twist_power(P, f, 1),
+    "nijenhuis": nijenhuis_twist,
+    "rota-baxter": lambda P, f: rota_baxter_twist(P, f, 1),
+    "multiplier-delta": lambda P, f: multiplier_twist_delta(
+        P, MultiplierTable.constant(P.group, 2), endomorphisms=[f]),
+}
+
+
+@pytest.mark.parametrize("construction", MAP_TAKERS)
+@pytest.mark.parametrize("arguments, error, message", [
+    (lambda P: (P, SWAP_ON_OTHER_BASIS), ShapeError, "map basis differs from algebra basis"),
+    (lambda P: (P.replace(bracket=None), EvenLinearMap.identity(P.basis)),
+     MissingComponentError, "algebra has no bracket"),
+], ids=["map-on-another-basis", "no-bracket"])
+def test_bad_argument_refused_before_the_input_is_gated(monkeypatch, construction, arguments,
+                                                        error, message):
+    def gated(epsilon):
+        raise AssertionError("the input's commutation factor was gated")
+
+    monkeypatch.setattr("algcheck.constructions.validate_bicharacter", gated)
+    # untwisted, as averaging-untwisted needs, and not Hom-Poisson
+    A = three_dim(corrected=False)
+    P = A.replace(alpha=EvenLinearMap.identity(A.basis))
+    assert not all_ok(check_hom_poisson(P))
+    with pytest.raises(error, match=message):
+        MAP_TAKERS[construction](*arguments(P))
 
 
 class TestCentroidTwist:

@@ -221,6 +221,8 @@ SHAPE_ERRORS = {
                            "not canonical"),
     "basis-degree-bool": (lambda A: GradedBasis(A.group, ((True,), (0,))), ShapeError,
                           "not canonical"),
+    "basis-degree-int": (lambda A: GradedBasis(Z2SQ, (5,)), ShapeError,
+                         "degree 5 is not canonical"),
     "map-diagonal": (lambda A: EvenLinearMap.diagonal(A.basis, (1, 1)), ShapeError,
                      "diagonal length mismatch"),
     "map-apply": (lambda A: A.alpha.apply((1, 1)), ShapeError, "vector length mismatch"),

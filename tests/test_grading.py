@@ -66,6 +66,12 @@ class TestGroup:
         with pytest.raises(InvalidRepresentationError):
             GroupSpec((2, modulus))
 
+    @pytest.mark.parametrize("bad", [5, None], ids=["int", "none"])
+    def test_index_of_a_non_sequence_is_a_shape_error(self, bad):
+        with pytest.raises(ShapeError) as exc:
+            Z2SQ.index(bad)
+        assert str(exc.value) == f"{bad!r} is not a canonical element of the group"
+
     @pytest.mark.parametrize("moduli", [(0,), (2, -1)])
     def test_modulus_below_one_rejected(self, moduli):
         with pytest.raises(InvalidRepresentationError) as exc:
@@ -111,8 +117,9 @@ class TestBicharacter:
         assert e.matrix == ((1, 0), (0, 1))
 
     @pytest.mark.parametrize("a, b, bad", [
-        ((0, 2), (1, 0), (0, 2)), ((0, 0), (1,), (1,)), ((2, 0), (0, 0), (2, 0))],
-        ids=["second-past-modulus", "short-tuple", "first-past-modulus"])
+        ((0, 2), (1, 0), (0, 2)), ((0, 0), (1,), (1,)), ((2, 0), (0, 0), (2, 0)),
+        (5, (0, 0), 5)],
+        ids=["second-past-modulus", "short-tuple", "first-past-modulus", "not-a-sequence"])
     def test_value_outside_the_group_is_a_shape_error(self, a, b, bad):
         e = SignBicharacter(Z2SQ, ((1, 0), (0, 1)))
         with pytest.raises(ShapeError) as exc:
