@@ -256,6 +256,7 @@ def tensor_with_commutative(A, P):
         raise IncompatibilityError("tensor factors have different grading groups")
     if A.epsilon.values != P.epsilon.values:
         raise IncompatibilityError("tensor factors have different commutation factors")
+    _require(A, "mu")
     _gate_factor(P)
     _gate([check_hom_associative(A), check_epsilon_commutative(A)],
           "left factor is not a commutative Hom-associative color algebra")

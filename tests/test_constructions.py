@@ -19,6 +19,7 @@ from algcheck import (
     averaging_twist_untwisted,
     centroid_twist,
     check_hom_poisson,
+    commutator_bracket,
     multiplier_twist_delta,
     multiplier_twist_symmetric,
     nijenhuis_twist,
@@ -361,3 +362,13 @@ class TestTensor:
     def test_noncommutative_left_factor_gated(self, example3):
         with pytest.raises(HypothesisError):
             tensor_with_commutative(example3, example3)
+
+    def test_left_factor_without_mu_refused_before_the_gate(self, monkeypatch, example3):
+        def gated(epsilon):
+            raise AssertionError("the right factor's commutation factor was gated")
+
+        monkeypatch.setattr("algcheck.constructions.validate_bicharacter", gated)
+        # comm2 is commutative, so its commutator bracket is zero
+        A = commutator_bracket(load_fixture("comm2").algebra).replace(mu=None)
+        with pytest.raises(MissingComponentError, match="algebra has no mu"):
+            tensor_with_commutative(A, example3)
